@@ -27,11 +27,11 @@ from .padic import (PadicNumber, angle_bracket, cornacchia, hensel_sqrt,
 from .qexp import (QExpansion, build_Fk, eisenstein, eisenstein_two_char,
                    hecke_T, hecke_U, hida_surrogate, verify_up_relation)
 from .regulator import (PUnitCertificate, find_p_unit, gross_regulator_general,
-                        gross_regulator_rank1, measure)
+                        gross_regulator_rank1)
 from .walgebra import (Laurent, WAlgebra, WElement, build_W,
                        case1_det_identity, case2_det_identity,
                        case3_det_identity, det, epsilon_pi_minus_y, epsilon_y,
-                       hecke_t_image, hecke_u_image, u_p_image)
+                       hecke_t_image, u_p_image)
 
 __all__ = [
     "__version__",
@@ -59,9 +59,9 @@ __all__ = [
     "hecke_U", "hida_surrogate", "verify_up_relation",
     # regulator
     "PUnitCertificate", "find_p_unit", "gross_regulator_general",
-    "gross_regulator_rank1", "measure",
+    "gross_regulator_rank1",
     # W-algebras
     "Laurent", "WAlgebra", "WElement", "build_W", "case1_det_identity",
     "case2_det_identity", "case3_det_identity", "det", "epsilon_pi_minus_y",
-    "epsilon_y", "hecke_t_image", "hecke_u_image", "u_p_image",
+    "epsilon_y", "hecke_t_image", "u_p_image",
 ]

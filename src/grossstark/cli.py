@@ -26,11 +26,12 @@ from . import __version__
 from .characters import (BernoulliCache, DirichletCharacter,
                          is_fundamental_discriminant, set_shared_cache,
                          shared_cache)
-from .errors import ConsistencyError, DomainError, PrecisionError
+from .errors import (ConsistencyError, DegenerateInstanceError, DomainError,
+                     PrecisionError, SearchBoundError)
 from .lambdaring import epsilon_char, nu_k, pi_normalize, topological_generator
 from .lfunctions import (LSeriesInstance, analytic_invariant, kubota_leopoldt,
                          lstar)
-from .padic import PadicNumber, angle_bracket, plog
+from .padic import PadicNumber, angle_bracket, is_zero, plog
 from .qexp import eisenstein, hecke_T, verify_up_relation
 from .regulator import find_p_unit, gross_regulator_rank1
 from .walgebra import (Laurent, build_W, case1_det_identity,
@@ -123,7 +124,7 @@ class ReportBuilder:
         t0 = time.perf_counter()
         try:
             status, val, detail = fn()
-        except DomainError as exc:
+        except (DomainError, SearchBoundError, DegenerateInstanceError) as exc:
             status, val, detail = "error", None, str(exc)
         except ConsistencyError as exc:
             status, val, detail = "fail", None, str(exc)
@@ -181,7 +182,7 @@ def cmd_interp_check(config: RunConfig) -> ReportBuilder:
                                   prec=series.precision + 4)
                     diff = series - exact
                     target = config.prec - 2
-                    if diff.exact_zero or diff.is_zero_to_precision():
+                    if is_zero(diff):
                         return "pass", None, None
                     val = diff.valuation
                     if val >= target:

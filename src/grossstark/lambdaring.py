@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, IndeterminateOrderError
-from .padic import PadicNumber, plog, v_p
+from .padic import PadicNumber, is_zero, plog, v_p
 
 DEFAULT_TRUNCATION = 16
 
@@ -66,7 +66,7 @@ class LambdaElement:
 
     def __repr__(self):
         shown = [f"({c})*T^{i}" for i, c in enumerate(self.coeffs)
-                 if not (c.exact_zero or c.is_zero_to_precision())]
+                 if not is_zero(c)]
         return " + ".join(shown) if shown else "0"
 
     def _check(self, other):
@@ -207,7 +207,7 @@ def pi_normalize(h: LambdaElement):
     """
     n = None
     for i, c in enumerate(h.coeffs):
-        if not (c.exact_zero or c.is_zero_to_precision()):
+        if not is_zero(c):
             n = i
             break
     if n is None:

@@ -236,25 +236,37 @@ def kubota_leopoldt(instance: LSeriesInstance, s=0) -> PadicNumber:
         instance.p, jets[0], min(instance.N, good_to))
 
 
-def lp_derivative_at_0(instance: LSeriesInstance, cross_check: bool = True) -> PadicNumber:
+def _jets_at_0(instance: LSeriesInstance, order: int) -> list:
+    """Taylor coefficients 0..order of L_p(chi*omega, s) at s = 0.
+
+    The integer point s = 0 keeps W - 4 = N + 4 good digits, so every
+    coefficient may be declared at the instance's precision N.
+    """
+    W = instance.N + _MARGIN
+    return _series_jets(instance.chi, instance.p, W, 0, order)[0]
+
+
+def lp_derivative_at_0(instance: LSeriesInstance) -> PadicNumber:
     """d/ds L_p(chi*omega, s) at s = 0, by termwise differentiation.
 
-    When cross_check is set (the default), the value is compared against the
-    finite differences (L_p(p^m) - L_p(0))/p^m for m = 2, 3, 4, which must
-    agree to within O(p^(m-1)); disagreement raises ConsistencyError.
+    The value is compared against the finite differences
+    (L_p(p^m) - L_p(0))/p^m for m = 2, 3, 4, which must agree to within
+    O(p^(m-1)); disagreement raises ConsistencyError.
     """
+    return _checked_derivative(instance, _jets_at_0(instance, 1))
+
+
+def _checked_derivative(instance: LSeriesInstance, jets) -> PadicNumber:
     p, W = instance.p, instance.N + _MARGIN
-    jets, _ = _series_jets(instance.chi, p, W, 0, 1)
     d1 = jets[1]
-    if cross_check:
-        check_to = min(instance.N, 3)
-        for m in (2, 3, 4):
-            lm = _series_jets(instance.chi, p, W, p ** m, 0)[0][0]
-            fd = (lm - jets[0]) / p ** m
-            if v_p(fd - d1, p) < min(m - 1, check_to):
-                raise ConsistencyError(
-                    f"finite difference at p^{m} disagrees with the "
-                    f"termwise derivative (valuation {v_p(fd - d1, p)})")
+    check_to = min(instance.N, 3)
+    for m in (2, 3, 4):
+        lm = _series_jets(instance.chi, p, W, p ** m, 0)[0][0]
+        fd = (lm - jets[0]) / p ** m
+        if v_p(fd - d1, p) < min(m - 1, check_to):
+            raise ConsistencyError(
+                f"finite difference at p^{m} disagrees with the "
+                f"termwise derivative (valuation {v_p(fd - d1, p)})")
     return PadicNumber.from_exact(p, d1, instance.N)
 
 
@@ -266,29 +278,31 @@ def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
     ord >= j; it never proves vanishing.  With N < 6 the report declines to
     draw a conclusive line.
     """
+    jets = _jets_at_0(instance, max_r) if instance.N >= 2 else None
+    return _probe(instance, jets)
+
+
+def _probe(instance: LSeriesInstance, jets) -> dict:
+    """order_probe's report from the s = 0 jets 0..max_r (unused when N < 2)."""
     N, p = instance.N, instance.p
     if N < 2:
         return {"order_lower_bound": 0, "coefficient_valuations": [],
                 "precision": N, "conclusive": False,
                 "note": "precision too low to probe"}
-    W = N + _MARGIN
-    jets, _ = _series_jets(instance.chi, p, W, 0, max_r)
-    coeffs = [PadicNumber.from_exact(p, c, N) for c in jets]
     tol = N - 2
-    vals = [c.valuation for c in coeffs]
+    vals = [PadicNumber.from_exact(p, c, N).valuation for c in jets]
     bound = 0
     for v in vals:
         if v >= tol:
             bound += 1
         else:
             break
-    bound = min(bound, max_r)
-    witnessed = bound <= max_r and any(v < tol for v in vals)
+    bound = min(bound, len(jets) - 1)
     return {
         "order_lower_bound": bound,
         "coefficient_valuations": vals,
         "precision": N,
-        "conclusive": N >= 6 and witnessed,
+        "conclusive": N >= 6 and any(v < tol for v in vals),
         "note": "lower-bound witness only; vanishing is precision-bounded",
     }
 
@@ -300,9 +314,10 @@ def analytic_invariant(instance: LSeriesInstance) -> LpReport:
     r = 0 it reduces to L_p(0) over the classical value times the surviving
     Euler factor, which the interpolation property forces to be 1.
     """
-    L0 = kubota_leopoldt(instance, 0)
+    jets = _jets_at_0(instance, 1)
+    L0 = PadicNumber.from_exact(instance.p, jets[0], instance.N)
     classic = classical_L_at_nonpositive(instance.chi, 0)
-    d1 = lp_derivative_at_0(instance)
+    d1 = _checked_derivative(instance, jets)
     if instance.r == 1:
         lan = d1 / classic
     else:
@@ -310,7 +325,7 @@ def analytic_invariant(instance: LSeriesInstance) -> LpReport:
         for _ in instance.Rprime:
             denom = denom * (1 - instance.chi_at_p)
         lan = L0 / denom
-    probe = order_probe(instance, max_r=1)
+    probe = _probe(instance, jets)
     return LpReport(
         value_at_0=L0,
         derivative_at_0=d1,

@@ -248,6 +248,13 @@ class PadicNumber:
         return result
 
 
+def is_zero(x) -> bool:
+    """Zero test for any scalar: a PadicNumber counts as zero to its precision."""
+    if isinstance(x, PadicNumber):
+        return x.is_zero_to_precision()
+    return not x
+
+
 _PRIMES_SEEN = set()
 
 

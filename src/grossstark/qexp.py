@@ -15,13 +15,7 @@ from .characters import DirichletCharacter
 from .errors import (ConsistencyError, DegenerateInstanceError, DomainError,
                      PrecisionError)
 from .lfunctions import LSeriesInstance, classical_L_at_nonpositive
-from .padic import PadicNumber
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, PadicNumber):
-        return x.exact_zero or x.is_zero_to_precision()
-    return x == 0
+from .padic import PadicNumber, is_zero
 
 
 class QExpansion:
@@ -94,7 +88,7 @@ class QExpansion:
             acc = Fraction(0)
             for i in range(m + 1):
                 a, b = self.coeffs[i], other.coeffs[m - i]
-                if _is_zero(a) or _is_zero(b):
+                if is_zero(a) or is_zero(b):
                     continue
                 acc = acc + a * b
             out.append(acc)
@@ -148,7 +142,7 @@ def eisenstein(k: int, eta: DirichletCharacter, support=(), n_terms: int = 200,
         acc = Fraction(0)
         for d in _divisors(n):
             v = etaJ(d, prec)
-            if _is_zero(v):
+            if is_zero(v):
                 continue
             acc = acc + v * Fraction(d) ** (k - 1)
         coeffs.append(acc)
@@ -173,10 +167,10 @@ def eisenstein_two_char(k: int, eta: DirichletCharacter, psi: DirichletCharacter
         acc = Fraction(0)
         for d in _divisors(n):
             a = eta(n // d, prec)
-            if _is_zero(a):
+            if is_zero(a):
                 continue
             b = psi(d, prec)
-            if _is_zero(b):
+            if is_zero(b):
                 continue
             acc = acc + a * b * Fraction(d) ** (k - 1)
         coeffs.append(acc)
@@ -194,7 +188,7 @@ def hecke_T(ell: int, f: QExpansion) -> QExpansion:
     out = []
     for n in range(f.reliable_to // ell + 1):
         c = f.coeffs[n * ell]
-        if n % ell == 0 and not _is_zero(scale):
+        if n % ell == 0 and not is_zero(scale):
             c = c + scale * f.coeffs[n // ell]
         out.append(c)
     return QExpansion(f.weight, f.character, out, f.prec)
@@ -225,20 +219,20 @@ def verify_up_relation(chi: DirichletCharacter, p: int, n_q: int = 200,
     first = None
     lhs1 = hecke_U(p, E) - E.truncate(horizon)
     for n in range(horizon + 1):
-        if not _is_zero(lhs1.coeff(n) - EJ.coeff(n)):
+        if not is_zero(lhs1.coeff(n) - EJ.coeff(n)):
             first = ("branch1", n)
             break
     if first is None:
         lhs2 = hecke_U(p, EJ) - EJ.truncate(horizon)
         for n in range(horizon + 1):
-            if not _is_zero(lhs2.coeff(n)):
+            if not is_zero(lhs2.coeff(n)):
                 first = ("branch2", n)
                 break
     if first is None and horizon >= p:
         # composed: (U_p - 1)^2 E = (U_p - 1) E_J = 0
         sq = hecke_U(p, lhs1) - lhs1.truncate(horizon // p)
         for n in range(horizon // p + 1):
-            if not _is_zero(sq.coeff(n)):
+            if not is_zero(sq.coeff(n)):
                 first = ("composed", n)
                 break
     return {
@@ -261,7 +255,7 @@ def hida_surrogate(k: int, p: int, n_q: int, prec: int | None = None) -> QExpans
     om = DirichletCharacter.teichmuller_power(p, (-k) % (p - 1))
     g = eisenstein(k, om, (p,), n_q, prec)
     c0 = g.coeff(0)
-    if _is_zero(c0):
+    if is_zero(c0):
         raise DegenerateInstanceError(
             "weight-%d Eisenstein constant term vanishes; surrogate undefined" % k)
     inv = 1 / c0 if isinstance(c0, Fraction) else c0.inverse()
@@ -313,7 +307,7 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
         else:
             inv_tw = chi.inverse().teichmuller_twist(1 - k, p)
             lp_inv = classical_L_at_nonpositive(inv_tw, 1 - k, wprec)
-            if _is_zero(lp_inv):
+            if is_zero(lp_inv):
                 raise DegenerateInstanceError(
                     "L_p(chi^{-1} omega, 1-k) vanishes to precision; "
                     "the W-ratio is undefined")
@@ -323,6 +317,6 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
         extra = eisenstein_two_char(k, chi, om_part, n_q, pr(om_part))
         F = main - eisenstein(1, chi, (), n_q, pr(chi)) * G * ratio + extra * wcoeff
     c0 = F.coeff(0)
-    if not _is_zero(c0):
+    if not is_zero(c0):
         raise ConsistencyError(f"constant term failed to cancel: {c0}")
     return F

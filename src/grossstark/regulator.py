@@ -15,14 +15,13 @@ determinants det(-l_matrix)/det(o_matrix) on supplied measurement matrices.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from fractions import Fraction
 
 from .characters import kronecker, is_fundamental_discriminant
 from .errors import DomainError, PrecisionError, RamifiedError, SearchBoundError
 from .padic import PadicNumber, cornacchia, hensel_sqrt, plog
+from .walgebra import det
 
 DEFAULT_H_MAX = 24
 _W_MARGIN = 4
@@ -39,6 +38,8 @@ class PUnitCertificate:
     __slots__ = ("d", "p", "h", "x", "y", "w", "o", "ell")
 
     def __init__(self, d, p, h, x, y, w):
+        if h < 1:
+            raise DomainError(f"h must be at least 1, got {h}")
         if (x * x - d * y * y) % 4:
             raise DomainError("x^2 - d y^2 must be divisible by 4")
         if (x * x - d * y * y) // 4 != p ** h:
@@ -108,11 +109,6 @@ def measure_parts(d, p, h, x, y, w) -> tuple[int, PadicNumber]:
     return o, ell
 
 
-def measure(cert: PUnitCertificate) -> tuple[int, PadicNumber]:
-    """The pair (o(u), l(u)) stored on the certificate."""
-    return cert.o, cert.ell
-
-
 def find_p_unit(d: int, p: int, h_max: int = DEFAULT_H_MAX,
                 N: int = 12) -> PUnitCertificate:
     """Find the minimal-power generator pi of P^h and certify u = pi/pibar.
@@ -141,7 +137,6 @@ def find_p_unit(d: int, p: int, h_max: int = DEFAULT_H_MAX,
 
 def gross_regulator_rank1(cert: PUnitCertificate) -> PadicNumber:
     """-l(u)/o(u): invariant under root swap and choice of associate."""
-    assert cert.o != 0
     return cert.ell * Fraction(-1, cert.o)
 
 
@@ -156,41 +151,10 @@ def gross_regulator_general(o_matrix, l_matrix) -> PadicNumber:
     if r == 0 or any(len(row) != r for row in o_matrix) \
             or len(l_matrix) != r or any(len(row) != r for row in l_matrix):
         raise DomainError("need square matrices of matching size")
-    det_o = _exact_det(o_matrix)
+    det_o = det(o_matrix)
     if det_o == 0:
         raise DomainError("singular o-matrix")
-    det_l = _padic_det(l_matrix)
+    det_l = det(l_matrix)
     sign = (-1) ** r
     return det_l * (Fraction(sign) / Fraction(det_o))
 
-
-def _exact_det(m):
-    r = len(m)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(r)):
-        term = Fraction(_sign(perm))
-        for i in range(r):
-            term *= Fraction(m[i][perm[i]])
-        total += term
-    return total
-
-
-def _padic_det(m):
-    r = len(m)
-    total = None
-    for perm in itertools.permutations(range(r)):
-        term = m[0][perm[0]]
-        for i in range(1, r):
-            term = term * m[i][perm[i]]
-        term = term * _sign(perm)
-        total = term if total is None else total + term
-    return total
-
-
-def _sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign

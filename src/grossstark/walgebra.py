@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import ConstructionError, DomainError
 from .lambdaring import LambdaElement
-from .padic import PadicNumber
+from .padic import PadicNumber, is_zero
 
 
 class Laurent:
@@ -132,14 +132,6 @@ class Laurent:
         return " + ".join(bits)
 
 
-def _scalar_zero(s) -> bool:
-    if isinstance(s, PadicNumber):
-        return s.exact_zero or s.is_zero_to_precision()
-    if isinstance(s, Laurent):
-        return not s.terms
-    return s == 0
-
-
 def _scalar_inv(s):
     if isinstance(s, PadicNumber):
         return s.inverse()
@@ -180,7 +172,7 @@ class WAlgebra:
             if W is not None:
                 raise ConstructionError("case 1 carries no W-datum")
         else:
-            if W is None or _scalar_zero(W):
+            if W is None or is_zero(W):
                 raise ConstructionError("cases 2 and 3 need a nonzero W scalar")
         if isinstance(L, Laurent) != isinstance(W, Laurent) and case != 1:
             raise ConstructionError("L and W must both be formal or both concrete")
@@ -223,12 +215,12 @@ class WAlgebra:
                 # the full eps-product rewrites into pi/y powers
                 if self.case == 1:
                     sc = self.L * self._one() * (-1) ** (self.r_an + 1)
-                    return None if _scalar_zero(sc) else (sc, ("pi", self.r_an))
+                    return None if is_zero(sc) else (sc, ("pi", self.r_an))
                 if self.case == 2:
                     sc = (self.L * _scalar_inv(self.W)) * (-1) ** (self.r_an + 1)
-                    return None if _scalar_zero(sc) else (sc, ("y", self.r_an))
+                    return None if is_zero(sc) else (sc, ("y", self.r_an))
                 sc = self.L * self._one() * (-1) ** (self.s + 1)
-                return None if _scalar_zero(sc) else (sc, ("pi", self.s))
+                return None if is_zero(sc) else (sc, ("pi", self.s))
             return (self._one(), ("eps", J))
         if a and b:
             a, b = 0, a + b
@@ -372,7 +364,7 @@ class WAlgebra:
         power = self.one()
         for i in range(min(h.M, self.max_degree) + 1):
             c = h.coeff(i)
-            if not (c.exact_zero or c.is_zero_to_precision()):
+            if not is_zero(c):
                 out = out + power * c
             if i < self.max_degree:
                 power = power * base
@@ -392,7 +384,7 @@ class WElement:
     def __init__(self, algebra, coords):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords",
-                           {i: c for i, c in coords.items() if not _scalar_zero(c)})
+                           {i: c for i, c in coords.items() if not is_zero(c)})
 
     def __setattr__(self, name, value):
         raise AttributeError("WElement is immutable")
@@ -486,39 +478,30 @@ def build_W(case, r, r_an=None, s=None, t=None, L=0, W=None, check=True) -> WAlg
     return WAlgebra(case, r, r_an=r_an, s=s, t=t, L=L, W=W, check=check)
 
 
-def det(matrix) -> WElement:
-    """Leibniz-expansion determinant of a square matrix of WElements."""
+def det(matrix):
+    """Leibniz determinant of a square matrix over a commutative ring.
+
+    Entries need only +, * and unary -, so ints, Fractions, PadicNumbers,
+    Laurent polynomials and WElements all qualify.  Each term starts from
+    its first-row entry: no multiplicative identity is needed, and a p-adic
+    term carries exactly the precision of its factors.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise DomainError("matrix must be square")
     if n == 0:
         raise DomainError("empty matrix")
-    alg = matrix[0][0].algebra
-    total = alg.zero()
+    total = None
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = alg.one()
-        for i in range(n):
-            prod = prod * matrix[i][perm[i]]
-        total = total + prod * sign
+        term = matrix[0][perm[0]]
+        for i in range(1, n):
+            term = term * matrix[i][perm[i]]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        if inversions % 2:
+            term = -term
+        total = term if total is None else total + term
     return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # -- cyclotomic-character images -----------------------------------------
@@ -541,11 +524,6 @@ def epsilon_pi_minus_y(h: LambdaElement, alg: WAlgebra) -> WElement:
     if alg.case == 1:
         raise DomainError("epsilon_pi_minus_y lives in cases 2 and 3")
     return alg.from_lambda(h, "pi-y")
-
-
-def hecke_u_image(h: LambdaElement, alg: WAlgebra) -> WElement:
-    """Image of U_l for l split outside p: 1 + [(eps(l) - 1)/pi] y = epsilon_y."""
-    return epsilon_y(h, alg)
 
 
 def hecke_t_image(h: LambdaElement, chi_l, alg: WAlgebra) -> WElement:
@@ -618,19 +596,8 @@ def _det_identity(o_matrix, l_matrix, alg, gen, lead_gen, n_matrix):
             row.append(entry)
         rows.append(row)
     D = det(rows)
-    detl = _scalar_det(l_matrix, alg)
-    deto = _scalar_det(o_matrix, alg)
+    detl = det(l_matrix)
+    deto = det(o_matrix)
     rhs = lead_gen * detl + alg.eps_product() * deto
     return alg.truncate_degree(D - rhs, r)
 
-
-def _scalar_det(m, alg):
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = alg._one() if alg.formal else Fraction(1)
-        for i in range(n):
-            prod = prod * m[i][perm[i]]
-        total = prod * sign + total
-    return total

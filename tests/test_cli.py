@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, RunConfig,
-                            UsageError, main)
+from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, ReportBuilder,
+                            RunConfig, UsageError, main)
+from grossstark.errors import DegenerateInstanceError, SearchBoundError
 
 
 def run(args, capsys):
@@ -126,6 +127,22 @@ def test_hecke_run(capsys, tmp_path):
 
 
 # -- precision gate ---------------------------------------------------------------
+
+@pytest.mark.parametrize("exc", [SearchBoundError, DegenerateInstanceError])
+def test_library_errors_become_error_records(exc):
+    # one failing instance is recorded and the batch goes on
+    rb = ReportBuilder(RunConfig("gross-stark", discs=(-4,)))
+
+    def boom():
+        raise exc("search exhausted")
+
+    rec = rb.run("gross-stark", "p=3 d=-1151", boom)
+    assert rec["status"] == "error"
+    assert rec["detail"] == "search exhausted"
+    rb.run("gross-stark", "p=5 d=-4", lambda: ("pass", None, None))
+    assert [c["status"] for c in rb.checks] == ["error", "pass"]
+    assert rb.exit_code() == 1
+
 
 def test_low_precision_downgrades_to_inconclusive(capsys, tmp_path):
     report_path = tmp_path / "r.json"

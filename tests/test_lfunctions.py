@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import grossstark.lfunctions as lfunctions
 from grossstark.characters import DirichletCharacter
 from grossstark.errors import (DomainError, PoleError, UnsupportedPoleError)
 from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
@@ -122,10 +123,10 @@ def test_derivative_locked_value():
 
 
 def test_derivative_finite_difference_consistency():
-    # cross_check=True runs the FD comparison internally; it must not raise
+    # the FD comparison always runs internally; it must not raise
     for (p, d) in ((5, -4), (7, -3)):
         inst = LSeriesInstance(p, chi(d), 10)
-        val = lp_derivative_at_0(inst, cross_check=True)
+        val = lp_derivative_at_0(inst)
         assert isinstance(val, PadicNumber)
 
 
@@ -160,3 +161,28 @@ def test_analytic_invariant_rank0_is_one():
     assert rep.r == 0
     assert not rep.has_exceptional_zero
     assert (rep.l_an - 1).valuation >= 8
+
+
+def test_analytic_invariant_makes_four_series_passes(monkeypatch):
+    # one order-1 pass at s = 0 plus the three finite differences at s = p^m
+    calls = []
+    engine = lfunctions._series_jets
+
+    def counted(*args):
+        calls.append(args[3])
+        return engine(*args)
+
+    monkeypatch.setattr(lfunctions, "_series_jets", counted)
+    analytic_invariant(LSeriesInstance(5, chi(-4), 12))
+    assert calls == [0, 25, 125, 625]
+
+
+@pytest.mark.parametrize("p,d", [(5, -4), (7, -4)])
+def test_analytic_invariant_matches_public_routes(p, d):
+    # rank 1 (5 splits in Q(i)) and rank 0 (7 is inert)
+    inst = LSeriesInstance(p, chi(d), 12)
+    rep = analytic_invariant(inst)
+    assert rep.r == (1 if p == 5 else 0)
+    assert rep.value_at_0 == kubota_leopoldt(inst, 0)
+    assert rep.derivative_at_0 == lp_derivative_at_0(inst)
+    assert rep.r_an_lower_bound == order_probe(inst, 1)["order_lower_bound"]

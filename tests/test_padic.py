@@ -9,7 +9,7 @@ import pytest
 from grossstark.errors import (DomainError, NoRootError, PrecisionError,
                                RamifiedError)
 from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
-                              hensel_sqrt, plog, teichmuller, v_p)
+                              hensel_sqrt, is_zero, plog, teichmuller, v_p)
 
 
 def N(p, x, nabs=12):
@@ -67,6 +67,8 @@ def test_exact_zero_vs_precision_zero():
     assert pz.is_zero_to_precision()
     with pytest.raises(PrecisionError):
         (z + 3).residue(1)  # exact zero + scalar needs a precision context
+    assert is_zero(z) and is_zero(pz) and not is_zero(N(5, 5))
+    assert is_zero(0) and is_zero(Fraction(0)) and not is_zero(Fraction(1, 5))
 
 
 def test_inverse():

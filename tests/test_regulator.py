@@ -9,7 +9,7 @@ from grossstark.errors import (DomainError, RamifiedError, SearchBoundError)
 from grossstark.padic import PadicNumber, hensel_sqrt
 from grossstark.regulator import (PUnitCertificate, find_p_unit,
                                   gross_regulator_general,
-                                  gross_regulator_rank1, measure)
+                                  gross_regulator_rank1)
 
 
 def test_find_p_unit_binding_examples():
@@ -54,9 +54,15 @@ def test_certificate_validation():
         PUnitCertificate(-4, 5, 1, 2, 2, wrong_root)
 
 
+def test_certificate_rejects_h_zero():
+    # (1^2 + 3 * 1^2)/4 = 7^0: a valid norm identity that would measure o = 0
+    with pytest.raises(DomainError):
+        PUnitCertificate(-3, 7, 0, 1, 1, hensel_sqrt(-3, 7, 16))
+
+
 def test_measurements():
     cert = find_p_unit(-4, 5)
-    o, ell = measure(cert)
+    o, ell = cert.o, cert.ell
     assert o in (1, -1)
     assert abs(o) == cert.h
     assert ell.valuation >= 1  # log of a principal unit pair
