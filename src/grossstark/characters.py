@@ -21,7 +21,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import DomainError, PrecisionError
-from .padic import PadicNumber, teichmuller
+from .padic import PadicNumber, is_prime, teichmuller
 
 
 def kronecker(a: int, n: int) -> int:
@@ -253,7 +253,7 @@ def _canonicalize(disc, p, om_exp, zeros):
     if not is_fundamental_discriminant(disc):
         raise DomainError(f"{disc} is not a fundamental discriminant")
     if p is not None:
-        if p < 3 or p % 2 == 0 or not sympy.isprime(p):
+        if p < 3 or not is_prime(p):
             raise DomainError(f"{p} is not an odd prime")
         om_exp %= p - 1
         if om_exp == (p - 1) // 2:
@@ -269,7 +269,7 @@ def _canonicalize(disc, p, om_exp, zeros):
     conductor = abs(disc) * (p if om_exp else 1)
     zeros = frozenset(q for q in zeros if conductor % q != 0)
     for q in zeros:
-        if q < 2 or not sympy.isprime(q):
+        if not is_prime(q):
             raise DomainError(f"forced zero at non-prime {q}")
     return disc, p, om_exp, zeros
 
@@ -335,10 +335,17 @@ class BernoulliCache:
 
 
 def _bernoulli_table_valid(table):
+    """sum_{j=0}^{n} C(n+1, j) B_j = 0 for every n, on integer numerators.
+
+    Scaling the table by the LCM of its denominators keeps the test exact
+    and spares a Fraction normalization per term.
+    """
     if not table or table[0] != 1:
         return False
-    for n in range(1, len(table)):
-        if sum(math.comb(n + 1, j) * table[j] for j in range(n + 1)) != 0:
+    lcm = math.lcm(*(b.denominator for b in table))
+    nums = [b.numerator * (lcm // b.denominator) for b in table]
+    for n in range(1, len(nums)):
+        if sum(math.comb(n + 1, j) * nums[j] for j in range(n + 1)) != 0:
             return False
     return True
 

@@ -31,7 +31,7 @@ from .errors import (ConsistencyError, DegenerateInstanceError, DomainError,
 from .lambdaring import epsilon_char, nu_k, pi_normalize, topological_generator
 from .lfunctions import (LSeriesInstance, analytic_invariant, kubota_leopoldt,
                          lstar)
-from .padic import PadicNumber, angle_bracket, is_zero, plog
+from .padic import PadicNumber, angle_bracket, is_prime, is_zero, plog
 from .qexp import eisenstein, hecke_T, verify_up_relation
 from .regulator import find_p_unit, gross_regulator_rank1
 from .walgebra import (Laurent, build_W, case1_det_identity,
@@ -67,7 +67,7 @@ class RunConfig:
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
         for p in self.primes:
-            if p < 3 or p % 2 == 0:
+            if p < 3 or not is_prime(p):
                 raise UsageError(f"p must be an odd prime, got {p}")
         for d in self.discs:
             if d >= 0 or not is_fundamental_discriminant(d):
@@ -106,7 +106,7 @@ class ReportBuilder:
         self.warnings = []
 
     def record(self, check_id, instance, status, discrepancy_valuation=None,
-               ms=None, detail=None):
+               ms=None, detail=None, error=None):
         rec = {
             "id": check_id,
             "instance": instance,
@@ -116,16 +116,20 @@ class ReportBuilder:
         }
         if detail is not None:
             rec["detail"] = detail
+        if error is not None:
+            rec["error"] = error
         self.checks.append(rec)
         return rec
 
     def run(self, check_id, instance, fn):
         """Time fn() -> (status, valuation, detail) and append the record."""
         t0 = time.perf_counter()
+        error = None
         try:
             status, val, detail = fn()
         except (DomainError, SearchBoundError, DegenerateInstanceError) as exc:
             status, val, detail = "error", None, str(exc)
+            error = type(exc).__name__
         except ConsistencyError as exc:
             status, val, detail = "fail", None, str(exc)
         except PrecisionError as exc:
@@ -138,7 +142,7 @@ class ReportBuilder:
             self.warnings.append(
                 f"{check_id} {instance}: precision {self.config.prec} < "
                 f"{CONCLUSIVE_PRECISION}, result inconclusive")
-        return self.record(check_id, instance, status, val, ms, detail)
+        return self.record(check_id, instance, status, val, ms, detail, error)
 
     def report(self) -> dict:
         meta = {}
@@ -278,7 +282,6 @@ def cmd_w_algebra(config: RunConfig) -> ReportBuilder:
 
 
 def cmd_hecke_check(config: RunConfig) -> ReportBuilder:
-    import sympy
     rb = ReportBuilder(config)
     for p in config.primes:
         for d in config.discs:
@@ -308,7 +311,9 @@ def cmd_hecke_check(config: RunConfig) -> ReportBuilder:
                         if lhs.coeff(n) != rhs.coeff(n):
                             return "fail", None, f"T_{ell} at q^{n}"
                     count += 1
-                ell = sympy.nextprime(ell)
+                ell += 1
+                while not is_prime(ell):
+                    ell += 1
             return "pass", None, "10 primes"
 
         rb.run("hecke-eigen", f"d={d}", eigen)

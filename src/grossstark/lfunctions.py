@@ -1,6 +1,7 @@
 """Kubota-Leopoldt p-adic L-functions and the analytic Gross-Stark invariant.
 
 The p-adic L-function is evaluated by the finite-sum Bernoulli-tail series
+(Washington, Cyclotomic Fields, Thm 5.11)
 
     L_p(chi*omega, s) = 1/(F(s-1)) * sum_{a=1, p∤a}^{F} psi(a) <a>^{1-s}
                         * sum_{j>=0} binom(1-s, j) B_j (F/a)^j
@@ -12,9 +13,28 @@ check against the exact generalized-Bernoulli route.
 
 Derivatives in s are taken by running the same sum over truncated dual
 numbers (jets in a formal increment delta), and cross-checked against finite
-differences at s = p^m.  All internal arithmetic is exact on integer
-representatives modulo p^W with W = N + 8; results are declared at absolute
-precision N, leaving a documented noise margin of at least four digits.
+differences at s = p^m.  Results are declared at absolute precision N and
+the sum is worked to W = N + 8 digits, leaving a documented noise margin of
+at least four digits.
+
+The sum over a runs on plain integers modulo p^M, M = W + K + 2:
+
+- The coefficients d_j = jet(binom(1-s-delta, j)) B_j F^j depend only on s
+  and j.  They are built once per call as exact Fractions, scaled by p^K
+  and reduced mod p^M.  K = 1 covers the p in the denominator of B_j
+  (von Staudt-Clausen; v_p(F^j/j!) >= 0 covers the rest), plus
+  v_p(order!) for the exp-jets below; a value that is still not
+  p-integral raises ConsistencyError.
+- For each a the inner sum over j is a Horner loop in a^-1 (in a^-2 over
+  the even j, since B_j = 0 for odd j > 1).
+- One exponent rule serves integer and p-adic s alike: <a> generates a
+  subgroup of (1 + pZ)/p^M of order dividing p^(M-1), so
+  <a>^(1-s) = pow(<a>, (1-s) mod p^(M-1), p^M).
+- exp(-delta log<a>) contributes (-log<a>)^t / t!; the loop multiplies by
+  order!/t! instead and divides by order! once after the loop.
+- psi(a), <a>, a^-1 and log_p<a> mod p^M are built once per instance
+  (`_Residues`) and shared by the series passes of one public call, such
+  as the four of `analytic_invariant`; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -23,12 +43,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .characters import DirichletCharacter, bernoulli_number, gen_bernoulli
 from .errors import (ConsistencyError, DomainError, PoleError,
                      UnsupportedPoleError)
-from .padic import PadicNumber, angle_bracket, plog, v_p
+from .padic import (PadicNumber, angle_bracket, is_prime, is_zero, plog,
+                    v_p)
 
 _MARGIN = 8
 
@@ -47,7 +66,7 @@ class LSeriesInstance:
     N: int = 12
 
     def __post_init__(self):
-        if self.p < 3 or not sympy.isprime(self.p):
+        if self.p < 3 or not is_prime(self.p):
             raise DomainError(f"p must be an odd prime, got {self.p}")
         if not self.chi.is_odd:
             raise DomainError("chi must be odd")
@@ -118,109 +137,170 @@ def lstar(chi: DirichletCharacter, n: int, p: int, prec=None):
 
 # -- series engine ------------------------------------------------------
 
-
-def _exp_fraction(x_rep: int, p: int, W: int) -> Fraction:
-    """Fraction congruent to exp(x) mod p^W, given x_rep = x mod p^W, v_p(x) >= 2."""
-    total = Fraction(0)
-    term_pow = 1
-    for k in range(W + 1):
-        total += Fraction(term_pow, math.factorial(k))
-        term_pow *= x_rep
-    return total
+# one power of p clears the p that B_j may have in its denominator
+_HEADROOM = 1
 
 
-def _series_jets(chi: DirichletCharacter, p: int, W: int, s, order: int):
+class _Residues:
+    """psi(a), <a> and a^-1 mod p^M for the a in [1, F] with psi(a) != 0.
+
+    The logs log_p<a> mod p^M are filled on first demand: plog on the
+    primes q <= F, additivity (log_p is a homomorphism on Z_p^x) on the
+    composites.
+    """
+
+    def __init__(self, psi: DirichletCharacter, p: int, M: int):
+        pm = p ** M
+        self.p, self.M = p, M
+        self.units, self.rows = [], []
+        for a in range(1, psi.modulus + 1):
+            cv = psi(a, M)
+            if is_zero(cv):
+                continue
+            c = cv.residue(M) if isinstance(cv, PadicNumber) else int(cv) % pm
+            self.units.append(a)
+            self.rows.append((c, angle_bracket(a, p, M).residue(M),
+                              pow(a, -1, pm)))
+        self._logs = None
+
+    def logs(self) -> list:
+        """log_p<a> mod p^M, aligned with rows."""
+        if self._logs is None:
+            p, M = self.p, self.M
+            spf = _smallest_prime_factors(self.units[-1])
+            # the factors of a unit a are units below a, so already known
+            log = {1: 0}
+            for a in self.units[1:]:
+                q = spf[a]
+                if q == a:
+                    log[a] = plog(angle_bracket(a, p, M)).residue(M)
+                else:
+                    log[a] = (log[q] + log[a // q]) % p ** M
+            self._logs = [log[a] for a in self.units]
+        return self._logs
+
+
+def _smallest_prime_factors(n: int) -> list:
+    """spf[m] = the smallest prime factor of m, for 2 <= m <= n."""
+    spf = list(range(n + 1))
+    for q in range(2, math.isqrt(n) + 1):
+        if spf[q] == q:
+            for m in range(q * q, n + 1, q):
+                if spf[m] == m:
+                    spf[m] = q
+    return spf
+
+
+def _binomial_jets(sigma: int, F: int, bern: list, order: int, p: int,
+                   pm: int) -> list:
+    """Row j: p^_HEADROOM d_j[i] mod pm for i = 0..order (module docstring)."""
+    rows = []
+    poly = [1] + [0] * order  # prod_{k<j} (1 - sigma - k - delta), truncated
+    scale = Fraction(p ** _HEADROOM)  # p^_HEADROOM F^j / j!
+    for j, b in enumerate(bern):
+        if j:
+            c = 1 - sigma - (j - 1)
+            poly = [poly[0] * c] + [poly[i] * c - poly[i - 1]
+                                    for i in range(1, order + 1)]
+            scale = scale * F / j
+        row = []
+        for x in poly:
+            y = scale * b * x
+            if y.denominator % p == 0:
+                raise ConsistencyError(
+                    f"binomial jet coefficient j={j} (order {order}) is not "
+                    f"{p}-integral after scaling by {p}^{_HEADROOM}")
+            row.append(y.numerator * pow(y.denominator, -1, pm) % pm)
+        rows.append(row)
+    return rows
+
+
+def _horner(rows: list, i: int) -> list:
+    """Column i of rows, highest nonzero entry first, for a Horner loop."""
+    coeffs = [row[i] for row in rows]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs[::-1]
+
+
+def _series_jets(chi: DirichletCharacter, p: int, W: int, s, order: int,
+                 tables: dict | None = None):
     """Taylor coefficients (in a formal increment at s) of L_p(chi*omega, .).
 
     Returns (coeffs, good_to): order+1 Fractions, each congruent to the
     corresponding Taylor coefficient modulo p^good_to.  good_to is W minus
     a four-digit noise margin, further capped by the precision of a p-adic
-    argument s.
+    argument s.  Passes on one instance share their per-a residues when
+    they are given the same tables dict.
     """
     psi = chi.teichmuller_twist(1, p)
     if psi.is_trivial_function:
         raise UnsupportedPoleError(
             "chi equals the inverse Teichmueller character; L_p has a pole")
     F = psi.modulus
-    pw = p ** W
     good_to = W - 4
     if isinstance(s, PadicNumber):
         if s.valuation < 1:
             raise DomainError("s must lie in the convergence neighborhood p*Z_p")
         eff = min(W, s.precision)
-        s_int, s_rep = None, s.residue(eff)
+        sigma = s.residue(eff)
         good_to = min(good_to, eff)
     else:
-        s_int = int(s)
-        if s_int == 1:
+        sigma = int(s)
+        if sigma == 1:
             raise PoleError("s = 1 is outside the domain")
-        s_rep = s_int % pw
+    fact = math.factorial(order)
+    K = _HEADROOM + v_p(fact, p)
+    M = W + K + 2
+    pm = p ** M
     # tail terms carry (F/a)^j / j! with total valuation >= j(1 - 1/(p-1)) - 1
     jmax = 2 * W + 10
     bern = [bernoulli_number(j) for j in range(jmax + 1)]
-    fact = [math.factorial(i) for i in range(order + 1)]
-    need_log = order >= 1 or s_int is None
-    total = [Fraction(0)] * (order + 1)
-    for a in range(1, F + 1):
-        if a % p == 0:
-            continue
-        cv = psi(a, W)
-        if isinstance(cv, Fraction):
-            if cv == 0:
-                continue
-            crep = int(cv)
-        else:
-            if cv.is_zero_to_precision():
-                continue
-            crep = cv.residue(W)
-        ang = angle_bracket(a, p, W)
-        ar = ang.residue(W)
-        lam = plog(ang).residue(W) if need_log else 0
-        # <a>^{1-s-delta} = <a>^{1-s} * exp(-delta * log<a>)
-        if s_int is not None:
-            base = Fraction(pow(ar, 1 - s_int, pw))
-        else:
-            base = Fraction(ar) * _exp_fraction(-s_rep * lam % pw, p, W)
-        ajet = [base * Fraction(pow(-lam % pw, i, pw), fact[i])
-                for i in range(order + 1)]
-        # inner sum over j with the running binomial jet binom(1-s-delta, j)
-        prod = [Fraction(1)] + [Fraction(0)] * order
-        inner = list(prod)
-        ratio = Fraction(F, a)
-        rpow = Fraction(1)
-        for j in range(1, jmax + 1):
-            if s_int is not None:
-                c0 = Fraction(1 - s_int - (j - 1))
-            else:
-                c0 = Fraction((1 - s_rep - (j - 1)) % pw)
-            nxt = [prod[0] * c0] + [prod[i] * c0 - prod[i - 1]
-                                    for i in range(1, order + 1)]
-            prod = [x / j for x in nxt]
-            rpow *= ratio
-            if bern[j]:
-                w = bern[j] * rpow
-                for i in range(order + 1):
-                    inner[i] += prod[i] * w
+    d = _binomial_jets(sigma, F, bern, order, p, pm)
+    even = [_horner(d[0::2], i) for i in range(order + 1)]
+    odd = [_horner(d[1::2], i) for i in range(order + 1)]
+    falling = [fact // math.factorial(t) for t in range(order + 1)]
+    exponent = (1 - sigma) % p ** (M - 1)
+    if tables is None:
+        tables = {}
+    res = tables.get((psi, M))
+    if res is None:
+        res = tables[psi, M] = _Residues(psi, p, M)
+    logs = res.logs() if order else [0] * len(res.rows)
+    total = [0] * (order + 1)
+    for (c, ang, inv), lam in zip(res.rows, logs):
+        inv2 = inv * inv % pm
+        inner = []
         for i in range(order + 1):
-            piece = Fraction(0)
-            for t in range(i + 1):
-                piece += ajet[t] * inner[i - t]
-            total[i] += crep * piece
+            acc = 0
+            for e in even[i]:
+                acc = (acc * inv2 + e) % pm
+            acc_odd = 0
+            for e in odd[i]:
+                acc_odd = (acc_odd * inv2 + e) % pm
+            inner.append(acc + inv * acc_odd)
+        # <a>^{1-s-delta} = <a>^{1-s} exp(-delta log<a>), times order!
+        w = c * pow(ang, exponent, pm) % pm
+        ajet = []
+        for t in range(order + 1):
+            ajet.append(w * falling[t])
+            w = w * -lam % pm
+        for i in range(order + 1):
+            total[i] += sum(ajet[t] * inner[i - t] for t in range(i + 1))
+    # the p-part of order! sits in K; divide out its unit part
+    unit_inv = pow(fact // p ** v_p(fact, p), -1, pm)
+    scaled = [Fraction(x * unit_inv % pm, p ** K) for x in total]
     # prefactor 1/(F (s - 1 + delta)) as a jet
-    if s_int is not None:
-        q = Fraction(1, s_int - 1)
-        pref = [Fraction((-1) ** i, F) * q ** (i + 1) for i in range(order + 1)]
-    else:
-        qinv = pow((s_rep - 1) % pw, -1, pw)
-        pref = [Fraction((-1) ** i * pow(qinv, i + 1, pw), F)
-                for i in range(order + 1)]
-    out = []
-    for i in range(order + 1):
-        piece = Fraction(0)
-        for t in range(i + 1):
-            piece += total[t] * pref[i - t]
-        out.append(piece)
+    pref = [Fraction((-1) ** i, F * (sigma - 1) ** (i + 1))
+            for i in range(order + 1)]
+    out = [sum(scaled[t] * pref[i - t] for t in range(i + 1))
+           for i in range(order + 1)]
     return out, good_to
+
+
+def _declared(p: int, x: Fraction, N: int) -> PadicNumber:
+    """A series coefficient known modulo p^N: a zero residue is O(p^N), not exact."""
+    return PadicNumber.from_exact(p, x, N) if x else PadicNumber(p, N, 0, N)
 
 
 def kubota_leopoldt(instance: LSeriesInstance, s=0) -> PadicNumber:
@@ -232,18 +312,17 @@ def kubota_leopoldt(instance: LSeriesInstance, s=0) -> PadicNumber:
     """
     W = instance.N + _MARGIN
     jets, good_to = _series_jets(instance.chi, instance.p, W, s, 0)
-    return PadicNumber.from_exact(
-        instance.p, jets[0], min(instance.N, good_to))
+    return _declared(instance.p, jets[0], min(instance.N, good_to))
 
 
-def _jets_at_0(instance: LSeriesInstance, order: int) -> list:
+def _jets_at_0(instance: LSeriesInstance, order: int, tables=None) -> list:
     """Taylor coefficients 0..order of L_p(chi*omega, s) at s = 0.
 
     The integer point s = 0 keeps W - 4 = N + 4 good digits, so every
     coefficient may be declared at the instance's precision N.
     """
     W = instance.N + _MARGIN
-    return _series_jets(instance.chi, instance.p, W, 0, order)[0]
+    return _series_jets(instance.chi, instance.p, W, 0, order, tables)[0]
 
 
 def lp_derivative_at_0(instance: LSeriesInstance) -> PadicNumber:
@@ -253,21 +332,24 @@ def lp_derivative_at_0(instance: LSeriesInstance) -> PadicNumber:
     (L_p(p^m) - L_p(0))/p^m for m = 2, 3, 4, which must agree to within
     O(p^(m-1)); disagreement raises ConsistencyError.
     """
-    return _checked_derivative(instance, _jets_at_0(instance, 1))
+    tables = {}
+    return _checked_derivative(instance, _jets_at_0(instance, 1, tables),
+                               tables)
 
 
-def _checked_derivative(instance: LSeriesInstance, jets) -> PadicNumber:
+def _checked_derivative(instance: LSeriesInstance, jets,
+                        tables=None) -> PadicNumber:
     p, W = instance.p, instance.N + _MARGIN
     d1 = jets[1]
     check_to = min(instance.N, 3)
     for m in (2, 3, 4):
-        lm = _series_jets(instance.chi, p, W, p ** m, 0)[0][0]
+        lm = _series_jets(instance.chi, p, W, p ** m, 0, tables)[0][0]
         fd = (lm - jets[0]) / p ** m
         if v_p(fd - d1, p) < min(m - 1, check_to):
             raise ConsistencyError(
                 f"finite difference at p^{m} disagrees with the "
                 f"termwise derivative (valuation {v_p(fd - d1, p)})")
-    return PadicNumber.from_exact(p, d1, instance.N)
+    return _declared(p, d1, instance.N)
 
 
 def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
@@ -290,7 +372,7 @@ def _probe(instance: LSeriesInstance, jets) -> dict:
                 "precision": N, "conclusive": False,
                 "note": "precision too low to probe"}
     tol = N - 2
-    vals = [PadicNumber.from_exact(p, c, N).valuation for c in jets]
+    vals = [_declared(p, c, N).valuation for c in jets]
     bound = 0
     for v in vals:
         if v >= tol:
@@ -314,10 +396,11 @@ def analytic_invariant(instance: LSeriesInstance) -> LpReport:
     r = 0 it reduces to L_p(0) over the classical value times the surviving
     Euler factor, which the interpolation property forces to be 1.
     """
-    jets = _jets_at_0(instance, 1)
-    L0 = PadicNumber.from_exact(instance.p, jets[0], instance.N)
+    tables = {}
+    jets = _jets_at_0(instance, 1, tables)
+    L0 = _declared(instance.p, jets[0], instance.N)
     classic = classical_L_at_nonpositive(instance.chi, 0)
-    d1 = _checked_derivative(instance, jets)
+    d1 = _checked_derivative(instance, jets, tables)
     if instance.r == 1:
         lan = d1 / classic
     else:

@@ -41,7 +41,7 @@ class PadicNumber:
     __slots__ = ("p", "v", "unit", "nabs", "exact_zero")
 
     def __init__(self, p, v, unit, nabs, exact_zero=False):
-        if p < 3 or not _is_odd_prime(p):
+        if p < 3 or not is_prime(p):
             raise DomainError(f"p must be an odd prime, got {p}")
         object.__setattr__(self, "p", p)
         if exact_zero:
@@ -258,17 +258,18 @@ def is_zero(x) -> bool:
 _PRIMES_SEEN = set()
 
 
-def _is_odd_prime(p):
-    if p in _PRIMES_SEEN:
+def is_prime(n: int) -> bool:
+    """Primality by trial division; primes already seen are remembered."""
+    if n in _PRIMES_SEEN:
         return True
-    if p % 2 == 0 or p < 3:
+    if n < 2 or (n % 2 == 0 and n != 2):
         return False
     d = 3
-    while d * d <= p:
-        if p % d == 0:
+    while d * d <= n:
+        if n % d == 0:
             return False
         d += 2
-    _PRIMES_SEEN.add(p)
+    _PRIMES_SEEN.add(n)
     return True
 
 

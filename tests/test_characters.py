@@ -253,6 +253,21 @@ def test_bernoulli_cache_rejects_corruption(tmp_path):
     assert fresh.computed_count > 0
 
 
+def test_bernoulli_cache_rejects_tiny_perturbation(tmp_path):
+    # the integer-numerator check is exact: 10^-40 off one entry is caught
+    path = tmp_path / "bern.json"
+    cache = BernoulliCache(str(path))
+    cache.number(40)
+    cache.save()
+    data = json.loads(path.read_text())
+    b30 = Fraction(data["entries"][30][1]) + Fraction(1, 10 ** 40)
+    data["entries"][30][1] = f"{b30.numerator}/{b30.denominator}"
+    path.write_text(json.dumps(data))
+    fresh = BernoulliCache(str(path))
+    assert fresh.number(30) == bernoulli_number(30)
+    assert fresh.computed_count > 0
+
+
 def test_bernoulli_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "bern.json"
     cache = BernoulliCache(str(path))

@@ -56,6 +56,13 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ["9", "15"])
+def test_composite_p_exits_2(capsys, p):
+    code, _, err = run(["gross-stark", "--p", p, "--disc", "-4"], capsys)
+    assert code == 2
+    assert "odd prime" in err
+
+
 def test_help_exits_0(capsys):
     code, _, _ = run(["--help"], capsys)
     assert code == 0
@@ -139,7 +146,9 @@ def test_library_errors_become_error_records(exc):
     rec = rb.run("gross-stark", "p=3 d=-1151", boom)
     assert rec["status"] == "error"
     assert rec["detail"] == "search exhausted"
-    rb.run("gross-stark", "p=5 d=-4", lambda: ("pass", None, None))
+    assert rec["error"] == exc.__name__
+    ok = rb.run("gross-stark", "p=5 d=-4", lambda: ("pass", None, None))
+    assert "error" not in ok
     assert [c["status"] for c in rb.checks] == ["error", "pass"]
     assert rb.exit_code() == 1
 

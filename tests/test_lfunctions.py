@@ -6,11 +6,12 @@ import pytest
 
 import grossstark.lfunctions as lfunctions
 from grossstark.characters import DirichletCharacter
-from grossstark.errors import (DomainError, PoleError, UnsupportedPoleError)
+from grossstark.errors import (ConsistencyError, DomainError, PoleError,
+                               UnsupportedPoleError)
 from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
                                    classical_L_at_nonpositive, kubota_leopoldt,
                                    lp_derivative_at_0, lstar, order_probe)
-from grossstark.padic import PadicNumber
+from grossstark.padic import PadicNumber, angle_bracket, plog
 
 
 def chi(d):
@@ -186,3 +187,72 @@ def test_analytic_invariant_matches_public_routes(p, d):
     assert rep.value_at_0 == kubota_leopoldt(inst, 0)
     assert rep.derivative_at_0 == lp_derivative_at_0(inst)
     assert rep.r_an_lower_bound == order_probe(inst, 1)["order_lower_bound"]
+
+
+# -- series engine on residues mod p^M ------------------------------------
+
+HONESTY_PAIRS = [(3, -4), (5, -4), (7, -3), (3, -23), (5, -19), (7, -20)]
+
+
+@pytest.mark.parametrize("p,d", HONESTY_PAIRS)
+def test_declared_precision_is_real(p, d):
+    # a value declared at N agrees with the same call at N + 10 to N digits
+    s_padic = PadicNumber.from_exact(p, Fraction(5 * p, 2), 40)
+    for N in (4, 8, 12):
+        lo, hi = LSeriesInstance(p, chi(d), N), LSeriesInstance(p, chi(d), N + 10)
+        for s in (0, -1, -2, 2, p, s_padic):
+            a, b = kubota_leopoldt(lo, s), kubota_leopoldt(hi, s)
+            assert a.precision == N
+            assert a.same_to(b, N), (N, s, a, b)
+        a, b = lp_derivative_at_0(lo), lp_derivative_at_0(hi)
+        assert a.same_to(b, N), (N, a, b)
+
+
+@pytest.mark.parametrize("p,d,W,s,order,good_to,expected", [
+    # order 3 at p = 3, where p divides 3!
+    (3, -4, 20, 0, 3, 16,
+     [(0, 1), (1, 8576427), (3, 27382833), (2, 31822947)]),
+    (5, -4, 20, -3, 2, 16,
+     [(1, 82209707955), (1, 68680664890), (4, 92195800625)]),
+    # a p-adic s known to 14 digits caps good_to
+    (7, -3, 20, (7, Fraction(35, 3), 14), 0, 14, [(2, 157753955079)]),
+])
+def test_series_jets_golden_residues(p, d, W, s, order, good_to, expected):
+    # (valuation, residue mod p^good_to), captured from the exact Fraction engine
+    if isinstance(s, tuple):
+        s = PadicNumber.from_exact(*s)
+    jets, got_to = lfunctions._series_jets(chi(d), p, W, s, order)
+    assert got_to == good_to
+    got = [PadicNumber.from_exact(p, c, good_to) for c in jets]
+    assert [(x.valuation, x.residue(good_to)) for x in got] == expected
+
+
+def test_series_jets_rejects_non_integral_coefficients(monkeypatch):
+    # a B_4 with 5^9 in its denominator cannot be made 5-integral by p^K
+    real = lfunctions.bernoulli_number
+    monkeypatch.setattr(lfunctions, "bernoulli_number",
+                        lambda j: Fraction(1, 5 ** 9) if j == 4 else real(j))
+    with pytest.raises(ConsistencyError, match=r"j=4 \(order 1\)"):
+        lfunctions._series_jets(chi(-4), 5, 12, 0, 1)
+
+
+def test_residue_logs_by_additivity_match_plog():
+    p, M = 3, 14
+    psi = chi(-56).teichmuller_twist(1, p)
+    res = lfunctions._Residues(psi, p, M)
+    for a, lam in zip(res.units, res.logs()):
+        assert lam == plog(angle_bracket(a, p, M)).residue(M), a
+
+
+def test_analytic_invariant_builds_one_residue_table(monkeypatch):
+    # the four series passes of one invariant share their per-a data
+    built = []
+    table = lfunctions._Residues
+
+    def counted(*args):
+        built.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(lfunctions, "_Residues", counted)
+    analytic_invariant(LSeriesInstance(5, chi(-4), 12))
+    assert len(built) == 1

@@ -9,7 +9,8 @@ import pytest
 from grossstark.errors import (DomainError, NoRootError, PrecisionError,
                                RamifiedError)
 from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
-                              hensel_sqrt, is_zero, plog, teichmuller, v_p)
+                              hensel_sqrt, is_prime, is_zero, plog, teichmuller,
+                              v_p)
 
 
 def N(p, x, nabs=12):
@@ -21,6 +22,21 @@ def test_v_p_basics():
     assert v_p(Fraction(1, 25), 5) == -2
     assert v_p(Fraction(3, 7), 5) == 0
     assert v_p(0, 5) == math.inf
+
+
+def test_is_prime_against_a_sieve():
+    limit = 500
+    composite = set()
+    for q in range(2, limit):
+        composite.update(range(q * q, limit, q))
+    for n in range(-3, limit):
+        assert is_prime(n) == (n >= 2 and n not in composite), n
+    assert is_prime(2 ** 31 - 1) and not is_prime(3 ** 15)
+
+
+def test_composite_p_rejected():
+    with pytest.raises(DomainError):
+        PadicNumber(9, 0, 1, 4)
 
 
 def test_from_exact_and_residue():
