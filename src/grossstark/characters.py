@@ -18,10 +18,8 @@ import math
 import os
 from fractions import Fraction
 
-import sympy
-
-from .errors import DomainError, PrecisionError
-from .padic import PadicNumber, is_prime, teichmuller
+from .errors import ConsistencyError, DomainError, PrecisionError
+from .padic import PadicNumber, factorize, is_prime, teichmuller
 
 
 def kronecker(a: int, n: int) -> int:
@@ -57,13 +55,7 @@ def kronecker(a: int, n: int) -> int:
 
 
 def _squarefree(n):
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(e == 1 for _, e in factorize(abs(n)))
 
 
 def is_fundamental_discriminant(d: int) -> bool:
@@ -88,22 +80,11 @@ def _fold_discriminant(D: int):
         raise DomainError("zero discriminant")
     sign = -1 if D < 0 else 1
     core = sign
-    n = abs(D)
     support = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            support.append(d)
-            if e % 2:
-                core *= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        support.append(n)
-        core *= n
+    for q, e in factorize(abs(D)):
+        support.append(q)
+        if e % 2:
+            core *= q
     if core % 4 != 1 and core != 1:
         D0 = 4 * core
     else:
@@ -323,19 +304,50 @@ class BernoulliCache:
         os.replace(tmp, self.path)
 
     def number(self, n: int) -> Fraction:
+        """B_n; a missing stretch of the table is filled up to n in one pass."""
         if n < 0:
             raise DomainError("Bernoulli numbers need n >= 0")
-        while len(self._table) <= n:
-            k = len(self._table)
-            # bernoulli polynomial at 0 pins the classical B_1 = -1/2
-            r = sympy.Rational(sympy.bernoulli(k, 0))
-            self._table.append(Fraction(int(r.p), int(r.q)))
-            self.computed_count += 1
+        start = len(self._table)
+        if n >= start:
+            self._table.extend(_bernoulli_range(start, n))
+            if not _bernoulli_table_valid(self._table, start):
+                del self._table[start:]
+                raise ConsistencyError(
+                    f"Bernoulli numbers B_{start}..B_{n} fail the recursion")
+            self.computed_count += n + 1 - start
         return self._table[n]
 
 
-def _bernoulli_table_valid(table):
-    """sum_{j=0}^{n} C(n+1, j) B_j = 0 for every n, on integer numerators.
+def _bernoulli_range(start: int, n: int) -> list:
+    """B_start, ..., B_n (start >= 1) from the tangent numbers T_1..T_{n//2}.
+
+    B_1 = -1/2, B_m = 0 for odd m > 1, and
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the T_k from the
+    integer recurrence of Brent and Harvey, "Fast computation of Bernoulli,
+    tangent and secant numbers" (2011), Algorithm TangentNumbers.
+    """
+    K = n // 2
+    T = [0, 1] + [0] * (K - 1)
+    for k in range(2, K + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    out = []
+    for m in range(start, n + 1):
+        if m == 1:
+            out.append(Fraction(-1, 2))
+        elif m % 2:
+            out.append(Fraction(0))
+        else:
+            k = m // 2
+            out.append(Fraction((-1) ** (k - 1) * 2 * k * T[k],
+                                4 ** k * (4 ** k - 1)))
+    return out
+
+
+def _bernoulli_table_valid(table, start=1):
+    """sum_{j=0}^{n} C(n+1, j) B_j = 0 for every n >= start, on integer numerators.
 
     Scaling the table by the LCM of its denominators keeps the test exact
     and spares a Fraction normalization per term.
@@ -344,7 +356,7 @@ def _bernoulli_table_valid(table):
         return False
     lcm = math.lcm(*(b.denominator for b in table))
     nums = [b.numerator * (lcm // b.denominator) for b in table]
-    for n in range(1, len(nums)):
+    for n in range(start, len(nums)):
         if sum(math.comb(n + 1, j) * nums[j] for j in range(n + 1)) != 0:
             return False
     return True
@@ -370,40 +382,47 @@ def shared_cache() -> BernoulliCache | None:
     return _shared_cache
 
 
-def _bernoulli_poly_at(n: int, x: Fraction) -> Fraction:
-    """B_n(x), exact."""
-    r = sympy.Rational(sympy.bernoulli(n, sympy.Rational(x.numerator, x.denominator)))
-    return Fraction(int(r.p), int(r.q))
-
-
 def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int | None = None):
     """B_{n, chi} summed over the character's modulus.
 
     B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) with f the modulus, so
-    raised characters automatically yield Euler-factor-deleted values.  The
-    trivial modulus-1 character returns the plain Bernoulli number, with the
-    classical B_1 = -1/2 (documented convention; the n=1, f=1 polynomial sum
-    would give +1/2).
+    raised characters automatically yield Euler-factor-deleted values.
+    Expanding B_n(x) = sum_j C(n, j) B_j x^(n-j) turns it into
+    sum_j C(n, j) B_j f^(j-1) S_{n-j} with the power sums
+    S_k = sum_{a=1}^{f} chi(a) a^k (Washington, Cyclotomic Fields, Prop. 4.1).
+    The trivial modulus-1 character returns the plain Bernoulli number, with
+    the classical B_1 = -1/2 (documented convention; the n=1, f=1 sum would
+    give +1/2).
     """
     if n < 1:
         raise DomainError("gen_bernoulli needs n >= 1")
     f = chi.modulus
     if f == 1:
         return bernoulli_number(n)
-    scale = Fraction(f) ** (n - 1)
+    bernoulli_number(n)  # fills a cold table in one pass
+    coeffs = [math.comb(n, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
+              for j in range(n + 1)]
+    sums = [0] * (n + 1)
     if chi.is_rational:
-        total = Fraction(0)
         for a in range(1, f + 1):
-            c = chi(a)
-            if c:
-                total += c * _bernoulli_poly_at(n, Fraction(a, f))
-        return scale * total
+            c = int(chi(a))
+            for k in range(n + 1):
+                sums[k] += c
+                c *= a
+        return sum(coef * sums[n - j] for j, coef in enumerate(coeffs))
     if prec is None:
         raise PrecisionError("character is p-adic valued; a precision is required")
-    total = PadicNumber.zero(chi.p)
+    p, pm = chi.p, chi.p ** prec
     for a in range(1, f + 1):
         c = chi(a, prec)
-        if isinstance(c, Fraction) and c == 0:
-            continue
-        total = total + c * _bernoulli_poly_at(n, Fraction(a, f))
-    return total * scale
+        if isinstance(c, Fraction):
+            continue  # a shares a prime with the modulus
+        c = c.residue(prec)
+        for k in range(n + 1):
+            sums[k] += c
+            c = c * a % pm
+    total = PadicNumber.zero(p)
+    for j, coef in enumerate(coeffs):
+        if coef:
+            total = total + PadicNumber(p, 0, sums[n - j], prec) * coef
+    return total

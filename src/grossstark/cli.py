@@ -208,9 +208,11 @@ def cmd_gross_stark(config: RunConfig) -> ReportBuilder:
                 if chi(p) != 1:
                     raise DomainError(
                         f"p = {p} is not split in Q(sqrt({d})): chi({p}) = {chi(p)}")
+                # the arithmetic side fails in milliseconds, the series engine
+                # takes seconds: search first
+                cert = find_p_unit(d, p, N=config.prec)
                 instance = LSeriesInstance(p, chi, config.prec)
                 lan = analytic_invariant(instance).l_an
-                cert = find_p_unit(d, p, N=config.prec)
                 reg = gross_regulator_rank1(cert)
                 diff = lan - reg
                 target = config.prec - 4

@@ -255,6 +255,7 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, s, order: int,
     pm = p ** M
     # tail terms carry (F/a)^j / j! with total valuation >= j(1 - 1/(p-1)) - 1
     jmax = 2 * W + 10
+    bernoulli_number(jmax)  # fills a cold table in one pass
     bern = [bernoulli_number(j) for j in range(jmax + 1)]
     d = _binomial_jets(sigma, F, bern, order, p, pm)
     even = [_horner(d[0::2], i) for i in range(order + 1)]

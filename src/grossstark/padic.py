@@ -331,6 +331,118 @@ def angle_bracket(a: int, p: int, N: int) -> PadicNumber:
     return PadicNumber(p, 0, a * pow(om, -1, pk), N)
 
 
+def factorize(n: int) -> list:
+    """The (q, e) pairs with n = prod q^e, q ascending, by trial division (n >= 1)."""
+    if n < 1:
+        raise DomainError(f"factorize needs n >= 1, got {n}")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _sqrt_mod_prime(a: int, q: int):
+    """A square root of the unit a modulo the odd prime q (Tonelli-Shanks), or None."""
+    a %= q
+    if pow(a, (q - 1) // 2, q) != 1:
+        return None
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = 2
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    c, x, b = pow(z, t, q), pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b != 1:
+        # x^2 = a b throughout; b has order 2^i with i < s
+        i, b2 = 0, b
+        while b2 != 1:
+            b2 = b2 * b2 % q
+            i += 1
+        g = pow(c, 1 << (s - i - 1), q)
+        x, c, s = x * g % q, g * g % q, i
+        b = b * c % q
+    return x
+
+
+def _lift_sqrt(r: int, a: int, q: int, N: int) -> int:
+    """Newton lift of a root r of the unit a modulo the odd prime q to q^N."""
+    prec = 1
+    while prec < N:
+        prec = min(2 * prec, N)
+        pk = q ** prec
+        r = (r - (r * r - a) * pow(2 * r, -1, pk)) % pk
+    return r % q ** N
+
+
+def _unit_sqrts(u: int, q: int, k: int) -> list:
+    """Every square root of the unit u modulo q^k (k >= 1)."""
+    n = q ** k
+    if q != 2:
+        r = _sqrt_mod_prime(u, q)
+        if r is None:
+            return []
+        r = _lift_sqrt(r, u, q, k)
+        return sorted({r, n - r})
+    if k <= 2:
+        return [r for r in range(1, n, 2) if (r * r - u) % n == 0]
+    if u % 8 != 1:
+        return []
+    r = 1
+    for j in range(3, k):
+        # r^2 = u mod 2^j; adding 2^(j-1) flips the bit 2^j of r^2
+        if (r * r - u) % 2 ** (j + 1):
+            r += 2 ** (j - 1)
+    half = n // 2
+    return sorted({r, n - r, (r + half) % n, (n - r + half) % n})
+
+
+def _sqrt_mod_prime_power(a: int, q: int, e: int) -> list:
+    """Every r in [0, q^e) with r^2 = a (mod q^e)."""
+    n = q ** e
+    a %= n
+    if a == 0:
+        return list(range(0, n, q ** ((e + 1) // 2)))
+    v = v_p(a, q)
+    if v % 2:
+        return []
+    m, k = v // 2, e - v
+    # r = q^m s with s^2 = a / q^v (mod q^k), s taken modulo q^(e - m)
+    roots = _unit_sqrts(a // q ** v, q, k)
+    qm, qk = q ** m, q ** k
+    return sorted(qm * (s + t * qk) % n for s in roots for t in range(qm))
+
+
+def sqrt_mod(a: int, n: int) -> list:
+    """Every r in [0, n) with r^2 = a (mod n), ascending (n >= 1).
+
+    Factors n by trial division, takes the roots modulo each prime power
+    (Tonelli-Shanks, then lifting) and combines them by CRT.
+    """
+    roots, modulus = [0], 1
+    for q, e in factorize(n):
+        qe = q ** e
+        local = _sqrt_mod_prime_power(a, q, e)
+        if not local:
+            return []
+        # x = r mod modulus, x = s mod q^e
+        inv = pow(modulus, -1, qe)
+        roots = [r + modulus * ((s - r) * inv % qe) for r in roots for s in local]
+        modulus *= qe
+    return sorted(roots)
+
+
 def hensel_sqrt(a: int, p: int, N: int) -> PadicNumber:
     """Deterministic square root of a modulo p^N.
 
@@ -339,17 +451,11 @@ def hensel_sqrt(a: int, p: int, N: int) -> PadicNumber:
     """
     if a % p == 0:
         raise RamifiedError(f"{a} is divisible by {p}; ramified roots unsupported")
-    if pow(a, (p - 1) // 2, p) != 1:
+    r = _sqrt_mod_prime(a, p)
+    if r is None:
         raise NoRootError(f"{a} is not a quadratic residue mod {p}")
-    r = next(r for r in range(1, p) if r * r % p == a % p)
     r = min(r, p - r)
-    prec = 1
-    w = r
-    while prec < N:
-        prec = min(2 * prec, N)
-        pk = p ** prec
-        w = (w - (w * w - a) * pow(2 * w, -1, pk)) % pk
-    return PadicNumber(p, 0, w % p ** N, N)
+    return PadicNumber(p, 0, _lift_sqrt(r, a, p, N), N)
 
 
 _EXHAUSTIVE_LIMIT = 10 ** 7
@@ -393,27 +499,13 @@ def _pi_is_primitive(x, y, D):
     if (x - y) % 2:
         return False
     g = math.gcd(x, y)
-    for q in _prime_divisors(g):
+    for q, _ in factorize(g):
         if q == 2:
             if (x // 2 - y // 2) % 2 == 0:
                 return False
         else:
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _cornacchia_descent(D, target):
@@ -423,14 +515,12 @@ def _cornacchia_descent(D, target):
     square root of -D, at both the 4m and m moduli (the latter catches the
     even-coordinate solutions, rescaled by 2).
     """
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
     candidates = set()
     moduli = [(target, 1)]
     if target % 4 == 0:
         moduli.append((target // 4, 2))
     for modulus, scale in moduli:
-        roots = sqrt_mod(-D % modulus, modulus, all_roots=True) or []
+        roots = sqrt_mod(-D, modulus)
         for r in roots:
             a, b = modulus, r % modulus
             seen = 0

@@ -3,26 +3,38 @@
 import json
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
-import sympy
 
+from grossstark import characters
 from grossstark.characters import (BernoulliCache, DirichletCharacter,
                                    bernoulli_number, gen_bernoulli,
                                    is_fundamental_discriminant, kronecker,
                                    prime_discriminant, set_shared_cache)
-from grossstark.errors import DomainError, PrecisionError
+from grossstark.errors import ConsistencyError, DomainError, PrecisionError
 from grossstark.padic import PadicNumber
 
 
 # -- kronecker oracle ------------------------------------------------------
 
-def test_kronecker_against_sympy_jacobi():
+def test_kronecker_against_euler_criterion():
+    # Jacobi (a|n) = prod over q^e || n of (a|q)^e, with the Legendre
+    # symbol (a|q) = a^((q-1)/2) mod q read as 0, 1 or -1
+    def jacobi(a, n):
+        out = 1
+        for q in range(3, n + 1, 2):
+            while n % q == 0:
+                n //= q
+                legendre = pow(a, (q - 1) // 2, q)
+                out *= -1 if legendre == q - 1 else legendre
+        return out
+
     rng = random.Random(3)
     for _ in range(500):
         a = rng.randrange(-60, 61)
         n = rng.randrange(1, 120) * 2 + 1  # odd positive
-        assert kronecker(a, n) == int(sympy.jacobi_symbol(a, n)), (a, n)
+        assert kronecker(a, n) == jacobi(a, n), (a, n)
 
 
 def test_kronecker_special_cases():
@@ -182,11 +194,67 @@ def test_bernoulli_numbers_classical_convention():
 
 def test_bernoulli_recursion_oracle():
     # sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1 pins the sign convention
-    from math import comb
-    for n in range(1, 20):
-        total = sum(Fraction(comb(n + 1, j)) * bernoulli_number(j)
-                    for j in range(n + 1))
+    table = [BernoulliCache().number(n) for n in range(121)]
+    for n in range(1, 121):
+        total = sum(Fraction(comb(n + 1, j)) * table[j] for j in range(n + 1))
         assert total == 0, n
+
+
+def test_bernoulli_table_known_values():
+    cache = BernoulliCache()
+    known = {
+        20: Fraction(-174611, 330),
+        30: Fraction(8615841276005, 14322),
+        40: Fraction(-261082718496449122051, 13530),
+        50: Fraction(495057205241079648212477525, 66),
+        60: Fraction(-1215233140483755572040304994079820246041491, 56786730),
+    }
+    for n, b in known.items():
+        assert cache.number(n) == b, n
+    # von Staudt-Clausen: the denominator of B_2k is the product of the
+    # primes q with (q - 1) | 2k; odd indices above 1 vanish
+    for n in range(2, 121):
+        if n % 2:
+            assert cache.number(n) == 0, n
+            continue
+        primes = [q for q in range(2, n + 2)
+                  if all(q % r for r in range(2, q)) and n % (q - 1) == 0]
+        assert cache.number(n).denominator == prod(primes), n
+        assert (cache.number(n) > 0) == (n % 4 == 2), n
+
+
+def test_bernoulli_computed_count_counts_appended_entries():
+    ascending = BernoulliCache()
+    for n in range(11):
+        ascending.number(n)
+    assert ascending.computed_count == 10   # B_0 is seeded
+    jump = BernoulliCache()
+    jump.number(40)
+    assert jump.computed_count == 40
+    jump.number(25)
+    assert jump.computed_count == 40        # served from the table
+    jump.number(41)
+    assert jump.computed_count == 41
+    assert [jump.number(n) for n in range(11)] == \
+        [ascending.number(n) for n in range(11)]
+
+
+def test_bernoulli_fresh_rows_are_checked(monkeypatch):
+    good = characters._bernoulli_range
+
+    def off_by_a_little(start, n):
+        rows = good(start, n)
+        rows[-1] += Fraction(1, 10 ** 30)
+        return rows
+
+    cache = BernoulliCache()
+    cache.number(6)
+    monkeypatch.setattr(characters, "_bernoulli_range", off_by_a_little)
+    with pytest.raises(ConsistencyError):
+        cache.number(12)
+    assert cache.computed_count == 6
+    monkeypatch.setattr(characters, "_bernoulli_range", good)
+    assert cache.number(12) == Fraction(-691, 2730)
 
 
 def test_gen_bernoulli_quadratic_values():
@@ -217,6 +285,63 @@ def test_gen_bernoulli_respects_modulus():
         if v:
             total += v * (Fraction(a, f) - Fraction(1, 2))
     assert gen_bernoulli(1, raised) == total
+
+
+# B_0(x)..B_6(x), written out: an oracle that uses no Bernoulli table
+_BERNOULLI_POLYS = [
+    [Fraction(1)],
+    [Fraction(-1, 2), 1],
+    [Fraction(1, 6), -1, 1],
+    [0, Fraction(1, 2), Fraction(-3, 2), 1],
+    [Fraction(-1, 30), 0, 1, -2, 1],
+    [0, Fraction(-1, 6), 0, Fraction(5, 3), Fraction(-5, 2), 1],
+    [Fraction(1, 42), 0, Fraction(-1, 2), 0, Fraction(5, 2), -3, 1],
+]
+
+
+def _per_residue(n, chi, prec=None):
+    """f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f), term by term."""
+    f = chi.modulus
+    total = PadicNumber.zero(chi.p) if prec else Fraction(0)
+    for a in range(1, f + 1):
+        c = chi(a, prec)
+        if isinstance(c, Fraction) and c == 0:
+            continue
+        x = Fraction(a, f)
+        total = total + c * sum(k * x ** i
+                                for i, k in enumerate(_BERNOULLI_POLYS[n]))
+    return total * Fraction(f) ** (n - 1)
+
+
+@pytest.mark.parametrize("chi", [
+    DirichletCharacter.quadratic(-4),
+    DirichletCharacter.quadratic(-3),
+    DirichletCharacter.quadratic(5),
+    DirichletCharacter.quadratic(-20),
+    DirichletCharacter.quadratic(-4).raise_modulus({3, 5}),
+    DirichletCharacter.quadratic(-7).teichmuller_twist(0, 3),
+    DirichletCharacter.trivial().raise_modulus({5}),
+], ids=repr)
+def test_gen_bernoulli_against_per_residue_sum(chi):
+    for n in range(1, 7):
+        assert gen_bernoulli(n, chi) == _per_residue(n, chi), n
+
+
+@pytest.mark.parametrize("chi", [
+    DirichletCharacter.teichmuller_power(5, 1),
+    DirichletCharacter.teichmuller_power(7, 5),
+    DirichletCharacter.quadratic(-4).teichmuller_twist(1, 5),
+    DirichletCharacter.quadratic(-3).teichmuller_twist(1, 7),
+    DirichletCharacter.quadratic(-3).teichmuller_twist(-1, 5).raise_modulus({2}),
+], ids=repr)
+def test_gen_bernoulli_padic_against_per_residue_sum(chi):
+    # the same value at the same declared precision as the term-by-term sum
+    for n in range(1, 7):
+        for prec in (4, 9):
+            got = gen_bernoulli(n, chi, prec)
+            want = _per_residue(n, chi, prec)
+            assert (got.v, got.unit, got.nabs) == \
+                (want.v, want.unit, want.nabs), (n, prec)
 
 
 def test_gen_bernoulli_irrational_path():

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +66,19 @@ def test_composite_p_exits_2(capsys, p):
     assert "odd prime" in err
 
 
+def test_package_imports_without_sympy():
+    # a fresh interpreter: nothing in the package may pull sympy back in
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import grossstark, grossstark.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'sympy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_help_exits_0(capsys):
     code, _, _ = run(["--help"], capsys)
     assert code == 0
@@ -107,6 +123,28 @@ def test_gross_stark_non_split_is_error(capsys, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["checks"][0]["status"] == "error"
     assert "split" in report["checks"][0]["detail"]
+
+
+def test_gross_stark_searches_before_the_series_engine(capsys, tmp_path,
+                                                       monkeypatch):
+    # h(-1151) = 41 > 24: the p-unit search gives up before any series pass
+    import grossstark.cli as cli
+    calls = []
+    real = cli.analytic_invariant
+
+    def counted(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(cli, "analytic_invariant", counted)
+    report_path = tmp_path / "r.json"
+    code, _, _ = run(["gross-stark", "--p", "3", "--disc", "-1151",
+                      "--json", str(report_path)], capsys)
+    assert code == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [(c["status"], c["error"]) for c in checks] == \
+        [("error", "SearchBoundError")]
+    assert calls == []
 
 
 def test_w_algebra_run(capsys):

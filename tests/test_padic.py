@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from grossstark import padic
 from grossstark.errors import (DomainError, NoRootError, PrecisionError,
                                RamifiedError)
 from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
-                              hensel_sqrt, is_prime, is_zero, plog, teichmuller,
-                              v_p)
+                              factorize, hensel_sqrt, is_prime, is_zero, plog,
+                              sqrt_mod, teichmuller, v_p)
 
 
 def N(p, x, nabs=12):
@@ -32,6 +33,17 @@ def test_is_prime_against_a_sieve():
     for n in range(-3, limit):
         assert is_prime(n) == (n >= 2 and n not in composite), n
     assert is_prime(2 ** 31 - 1) and not is_prime(3 ** 15)
+
+
+def test_factorize():
+    for n in range(1, 3000):
+        pairs = factorize(n)
+        assert math.prod(q ** e for q, e in pairs) == n, n
+        assert all(is_prime(q) and e >= 1 for q, e in pairs), n
+        assert [q for q, _ in pairs] == sorted({q for q, _ in pairs}), n
+    assert factorize(4 * 1000003 ** 3) == [(2, 2), (1000003, 3)]
+    with pytest.raises(DomainError):
+        factorize(0)
 
 
 def test_composite_p_rejected():
@@ -178,6 +190,49 @@ def test_hensel_sqrt_root_convention_is_minimal_residue():
         assert 1 <= r <= p // 2, (a, p, r)
 
 
+def test_hensel_sqrt_large_prime():
+    # the root mod p comes from Tonelli-Shanks, not a scan over [1, p)
+    for p, a in ((1000003, 13), (1000003, -26), (1000033, -11)):
+        N = 6
+        w = hensel_sqrt(a, p, N)
+        assert (w * w - a).is_zero_to_precision()
+        assert w.precision == N
+        assert 1 <= w.residue(1) <= p // 2
+
+
+def _brute_roots(n):
+    roots = {}
+    for r in range(n):
+        roots.setdefault(r * r % n, []).append(r)
+    return roots
+
+
+def test_sqrt_mod_against_brute_force():
+    # every a mod n for n <= 500, then every a for larger moduli with high
+    # powers of 2 and odd prime squares (a | n cases included throughout)
+    for n in list(range(1, 501)) + [1024, 1152, 1250, 1331, 1369, 1372,
+                                    1445, 1458, 1499, 1500]:
+        roots = _brute_roots(n)
+        for a in range(n):
+            assert sqrt_mod(a, n) == roots.get(a, []), (a, n)
+    assert sqrt_mod(-7, 8) == [1, 3, 5, 7]
+
+
+def test_sqrt_mod_large_prime_powers():
+    for q, h in ((1000003, 3), (1000033, 2), (3, 41)):
+        for n in (q ** h, 4 * q ** h):
+            for a in (-11, -1151, -20):
+                roots = sqrt_mod(a, n)
+                assert all((r * r - a) % n == 0 for r in roots)
+                assert roots == sorted(set(roots))
+                assert sorted((n - r) % n for r in roots) == roots
+                # a unit mod q: two roots mod q^h, times two mod 4
+                if pow(a, (q - 1) // 2, q) == 1:
+                    assert len(roots) == (2 if n % 4 else 4)
+                else:
+                    assert roots == []
+
+
 def test_hensel_sqrt_errors():
     with pytest.raises(NoRootError):
         hensel_sqrt(2, 5, 8)  # 2 is not a QR mod 5
@@ -249,6 +304,19 @@ def test_cornacchia_matches_exhaustive_search():
         got = cornacchia(D, m)
         want = brute(D, m)
         assert got == want, (D, m, got, want)
+
+
+def test_cornacchia_descent_matches_exhaustive_search(monkeypatch):
+    # 4m just above the exhaustive limit goes through the descent; the
+    # exhaustive branch, with its limit lifted, is the oracle
+    assert 4 * 2500001 > padic._EXHAUSTIVE_LIMIT
+    cases = [(D, m) for D in (3, 4, 7, 8, 11, 15, 20, 23)
+             for m in list(range(2500001, 2500026)) + [3 ** 14, 7 ** 8, 13 ** 6]]
+    descent = [cornacchia(D, m) for D, m in cases]
+    monkeypatch.setattr(padic, "_EXHAUSTIVE_LIMIT", 10 ** 9)
+    exhaustive = [cornacchia(D, m) for D, m in cases]
+    assert descent == exhaustive
+    assert sum(sol is not None for sol in exhaustive) >= 20
 
 
 def test_truncate_and_same_to():
