@@ -26,8 +26,9 @@ from . import __version__
 from .characters import (BernoulliCache, DirichletCharacter,
                          is_fundamental_discriminant, set_shared_cache,
                          shared_cache)
-from .errors import (ConsistencyError, DegenerateInstanceError, DomainError,
-                     PrecisionError, SearchBoundError)
+from .errors import (ConsistencyError, ConstructionError,
+                     DegenerateInstanceError, DomainError, PrecisionError,
+                     SearchBoundError)
 from .lambdaring import epsilon_char, nu_k, pi_normalize, topological_generator
 from .lfunctions import (LSeriesInstance, analytic_invariant, kubota_leopoldt,
                          lstar)
@@ -127,7 +128,8 @@ class ReportBuilder:
         error = None
         try:
             status, val, detail = fn()
-        except (DomainError, SearchBoundError, DegenerateInstanceError) as exc:
+        except (DomainError, SearchBoundError, DegenerateInstanceError,
+                ConstructionError) as exc:
             status, val, detail = "error", None, str(exc)
             error = type(exc).__name__
         except ConsistencyError as exc:
@@ -242,10 +244,28 @@ def cmd_w_algebra(config: RunConfig) -> ReportBuilder:
     rb = ReportBuilder(config)
     rng = random.Random(20260817)
     Lc, Wc = Fraction(5, 3), Fraction(2, 7)
+    algebras = {}
+
+    def algebra(case, r, mode):
+        """The (case, r, scalar mode) algebra, built on first use in this run."""
+        key = (case, r, mode)
+        if key not in algebras:
+            if mode == "concrete":
+                L, W = Lc, Wc
+            else:
+                L, W = Laurent.var_L(), Laurent.var_W()
+            if case == 1:
+                algebras[key] = build_W(1, r, r_an=r, L=L)
+            elif case == 2:
+                algebras[key] = build_W(2, r, r_an=r, L=L, W=W)
+            else:
+                algebras[key] = build_W(3, r, s=r + 1, t=r, L=L, W=W)
+        return algebras[key]
+
     for r in (1, 2, 3):
         def dims(r=r):
-            a1 = build_W(1, r, r_an=r, L=Lc)
-            a2 = build_W(2, r, r_an=r, L=Lc, W=Wc)
+            a1 = algebra(1, r, "concrete")
+            a2 = algebra(2, r, "concrete")
             ok = (a1.dimension == 2 ** r + r - 1
                   and a2.dimension == 2 ** r + 2 * r - 2)
             return ("pass" if ok else "fail"), None, \
@@ -254,13 +274,7 @@ def cmd_w_algebra(config: RunConfig) -> ReportBuilder:
 
         for mode in ("concrete", "formal"):
             def idents(r=r, mode=mode):
-                if mode == "concrete":
-                    L, W = Lc, Wc
-                else:
-                    L, W = Laurent.var_L(), Laurent.var_W()
-                a1 = build_W(1, r, r_an=r, L=L)
-                a2 = build_W(2, r, r_an=r, L=L, W=W)
-                a3 = build_W(3, r, s=r + 1, t=r, L=L, W=W)
+                a1, a2, a3 = (algebra(case, r, mode) for case in (1, 2, 3))
                 checks = ((case1_det_identity, a1), (case2_det_identity, a2),
                           (case3_det_identity, a3))
                 for _ in range(config.trials):
@@ -276,7 +290,7 @@ def cmd_w_algebra(config: RunConfig) -> ReportBuilder:
                     power = power * diff
                 if power != a2.pi(r) - a2.y(r):
                     return "fail", None, "(pi-y)^r != pi^r - y^r"
-                if a3.y(r) != a3.pi(r + 1) * W:
+                if a3.y(r) != a3.pi(r + 1) * a3.W:
                     return "fail", None, "y^t != W pi^s"
                 return "pass", None, None
             rb.run("walg-det", f"r={r} {mode}", idents)

@@ -38,7 +38,7 @@ class Laurent:
     def __init__(self, terms=None):
         cleaned = {}
         for key, val in (terms or {}).items():
-            v = Fraction(val)
+            v = val if isinstance(val, Fraction) else Fraction(val)
             if v:
                 cleaned[key] = v
         object.__setattr__(self, "terms", cleaned)
@@ -149,10 +149,18 @@ def _degree(mono) -> int:
     return len(v) if kind == "eps" else v
 
 
+def _scaled(sc, entry):
+    """sc times a table entry, None standing for zero."""
+    if entry is None:
+        return None
+    prod = sc * entry[0]
+    return None if is_zero(prod) else (prod, entry[1])
+
+
 class WAlgebra:
     """One of the three local algebras, with basis and multiplication table."""
 
-    def __init__(self, case, r, r_an=None, s=None, t=None, L=0, W=None, check=True):
+    def __init__(self, case, r, r_an=None, s=None, t=None, L=0, W=None):
         self.case = case
         self.r = r
         if case in (1, 2):
@@ -182,8 +190,7 @@ class WAlgebra:
         self.basis = self._make_basis()
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.table = self._make_table()
-        if check:
-            self._check_structure()
+        self._check_structure()
 
     # -- construction ---------------------------------------------------
 
@@ -274,18 +281,32 @@ class WAlgebra:
         return table
 
     def _check_structure(self):
-        one = self.one()
-        for x in self.basis:
-            e = self.element({x: 1})
-            if (e * one - e).nonzero():
+        """Unit and associativity on basis monomials, read off the table.
+
+        A product e_i e_j is the entry table[i][j]: None for zero, or
+        (scalar, k) for scalar * e_k.
+        """
+        table = self.table
+        unit = self.index[("pi", 0)]
+        for i, row in enumerate(table):
+            entry = row[unit]  # e_i * 1
+            if entry is None or entry[1] != i or not is_zero(entry[0] - 1):
                 raise ConstructionError("unit failure")
-        # associativity on all basis triples
-        els = [self.element({m: 1}) for m in self.basis]
-        for x in els:
-            for y in els:
-                xy = x * y
-                for z in els:
-                    if ((xy * z) - (x * (y * z))).nonzero():
+        n = len(table)
+        for i in range(n):
+            row_i = table[i]
+            for j in range(n):
+                row_j = table[j]
+                ij = row_i[j]
+                for k in range(n):
+                    # (e_i e_j) e_k and e_i (e_j e_k), each None or (sc, index)
+                    jk = row_j[k]
+                    left = None if ij is None else _scaled(ij[0], table[ij[1]][k])
+                    right = None if jk is None else _scaled(jk[0], row_i[jk[1]])
+                    if left is None and right is None:
+                        continue
+                    if (left is None or right is None or left[1] != right[1]
+                            or not is_zero(left[0] - right[0])):
                         raise ConstructionError("associativity failure")
 
     # -- element constructors --------------------------------------------
@@ -473,9 +494,9 @@ class WElement:
         return " + ".join(names)
 
 
-def build_W(case, r, r_an=None, s=None, t=None, L=0, W=None, check=True) -> WAlgebra:
+def build_W(case, r, r_an=None, s=None, t=None, L=0, W=None) -> WAlgebra:
     """Construct one of the three algebras; see the module docstring."""
-    return WAlgebra(case, r, r_an=r_an, s=s, t=t, L=L, W=W, check=check)
+    return WAlgebra(case, r, r_an=r_an, s=s, t=t, L=L, W=W)
 
 
 def det(matrix):

@@ -10,7 +10,9 @@ import pytest
 
 from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, ReportBuilder,
                             RunConfig, UsageError, main)
-from grossstark.errors import DegenerateInstanceError, SearchBoundError
+from grossstark.errors import (ConstructionError, DegenerateInstanceError,
+                               SearchBoundError)
+from grossstark.walgebra import WAlgebra
 
 
 def run(args, capsys):
@@ -154,6 +156,51 @@ def test_w_algebra_run(capsys):
     assert "walg-det" in out
 
 
+def test_w_algebra_corrupt_table_becomes_error_records(capsys, tmp_path,
+                                                      monkeypatch):
+    # a non-associative case-2, r = 2 table: its three checks are recorded
+    # as errors and the batch goes on
+    real = WAlgebra._make_table
+
+    def corrupted(self):
+        table = real(self)
+        if self.case == 2 and self.r == 2:
+            table[1][1] = (table[1][1][0], 1)  # pi * pi -> sc * pi
+        return table
+
+    monkeypatch.setattr(WAlgebra, "_make_table", corrupted)
+    report_path = tmp_path / "r.json"
+    code, _, _ = run(["w-algebra", "--trials", "1", "--json", str(report_path)],
+                     capsys)
+    assert code == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    assert len(checks) == 9
+    for c in checks:
+        if c["instance"].startswith("r=2"):
+            assert (c["status"], c["error"], c["detail"]) == \
+                ("error", "ConstructionError", "associativity failure")
+        else:
+            assert c["status"] == "pass" and "error" not in c
+
+
+@pytest.mark.parametrize("argv, code, statuses", [
+    (["gross-stark", "--p", "5", "--disc", "-20"], 1,
+     [("error", "DomainError")]),                       # ramified p
+    (["gross-stark", "--p", "3", "--disc", "-4"], 1,
+     [("error", "DomainError")]),                       # inert p
+    (["interp", "--p", "3", "--disc", "-3", "--prec", "8"], 1,
+     [("error", "UnsupportedPoleError")] * 4),          # pole twist
+    (["gross-stark", "--p", "5", "--disc", "-4", "--prec", "1"], 0,
+     [("inconclusive", None)]),                         # precision too low
+])
+def test_adversarial_instances(capsys, tmp_path, argv, code, statuses):
+    report_path = tmp_path / "r.json"
+    got, _, _ = run(argv + ["--json", str(report_path)], capsys)
+    assert got == code
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [(c["status"], c.get("error")) for c in checks] == statuses
+
+
 def test_lambda_run(capsys):
     code, out, _ = run(["lambda", "--p", "5", "--prec", "8"], capsys)
     assert code == 0
@@ -173,7 +220,8 @@ def test_hecke_run(capsys, tmp_path):
 
 # -- precision gate ---------------------------------------------------------------
 
-@pytest.mark.parametrize("exc", [SearchBoundError, DegenerateInstanceError])
+@pytest.mark.parametrize("exc", [SearchBoundError, DegenerateInstanceError,
+                                 ConstructionError])
 def test_library_errors_become_error_records(exc):
     # one failing instance is recorded and the batch goes on
     rb = ReportBuilder(RunConfig("gross-stark", discs=(-4,)))

@@ -8,7 +8,7 @@ import pytest
 from grossstark.errors import ConstructionError, DomainError
 from grossstark.lambdaring import epsilon_char, topological_generator
 from grossstark.padic import PadicNumber, plog
-from grossstark.walgebra import (Laurent, build_W, case1_det_identity,
+from grossstark.walgebra import (Laurent, WAlgebra, build_W, case1_det_identity,
                                  case2_det_identity, case3_det_identity, det,
                                  epsilon_pi_minus_y, epsilon_y, hecke_t_image,
                                  u_p_image)
@@ -46,6 +46,96 @@ def test_dimensions():
         assert a2.dimension == 2 ** r + 2 * r - 2
     a3 = build_W(3, 2, s=3, t=2, L=L0, W=W0)
     assert a3.dimension == (3 + 1) + (2 - 1) + 2 ** 2 - 2
+
+
+# -- structure check on the multiplication table ----------------------------
+
+def element_check(alg):
+    """Unit and associativity on WElements: the reference for the table check."""
+    one = alg.one()
+    for m in alg.basis:
+        e = alg.element({m: 1})
+        if (e * one - e).nonzero():
+            return "unit failure"
+    els = [alg.element({m: 1}) for m in alg.basis]
+    for x in els:
+        for y in els:
+            xy = x * y
+            for z in els:
+                if ((xy * z) - (x * (y * z))).nonzero():
+                    return "associativity failure"
+    return None
+
+
+def table_check(alg):
+    try:
+        alg._check_structure()
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def test_redirected_entry_fails_associativity():
+    alg = build_W(2, 2, r_an=2, L=L0, W=W0)
+    pi = alg.index[("pi", 1)]
+    sc, _ = alg.table[pi][pi]
+    alg.table[pi][pi] = (sc, pi)  # pi * pi -> sc * pi instead of sc * y^2
+    with pytest.raises(ConstructionError, match="associativity failure"):
+        alg._check_structure()
+
+
+def test_index_mismatch_fails_associativity():
+    # on a = pi, b = pi^2: aa = b, ab = a, ba = b, bb = a; every product of
+    # a and b is nonzero with scalar 1, and (aa)a = b while a(aa) = a
+    alg = build_W(1, 1, r_an=2, L=L0)
+    a, b = alg.index[("pi", 1)], alg.index[("pi", 2)]
+    one = Fraction(1)
+    alg.table[a][a], alg.table[a][b] = (one, b), (one, a)
+    alg.table[b][a], alg.table[b][b] = (one, b), (one, a)
+    assert element_check(alg) == "associativity failure"
+    with pytest.raises(ConstructionError, match="associativity failure"):
+        alg._check_structure()
+
+
+@pytest.mark.parametrize("entry", [(Fraction(1), 0),    # pi * 1 -> 1
+                                   (Fraction(2), 1),    # pi * 1 -> 2 pi
+                                   None])               # pi * 1 -> 0
+def test_unit_row_corruption_fails_unit(entry):
+    alg = build_W(1, 2, r_an=2, L=L0)
+    unit, pi = alg.index[("pi", 0)], alg.index[("pi", 1)]
+    assert (unit, pi) == (0, 1)
+    alg.table[pi][unit] = alg.table[unit][pi] = entry
+    assert element_check(alg) == "unit failure"
+    with pytest.raises(ConstructionError, match="unit failure"):
+        alg._check_structure()
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_table_check_agrees_with_element_check(case):
+    # every None (or zero-scalar) or index-redirect corruption of one
+    # upper-triangle entry; a rescaled entry is a change of basis, still
+    # associative, so none is used
+    alg = {1: lambda: build_W(1, 2, r_an=2, L=L0),
+           2: lambda: build_W(2, 2, r_an=2, L=L0, W=W0),
+           3: lambda: build_W(3, 2, s=3, t=2, L=L0, W=W0)}[case]()
+    assert table_check(alg) is None and element_check(alg) is None
+    n = alg.dimension
+    outcomes = set()
+    for i in range(n):
+        for j in range(i, n):
+            old = alg.table[i][j]
+            sc = Fraction(1) if old is None else old[0]
+            corruptions = [None, (sc * 0, 0)] + [
+                (sc, k) for k in range(n) if old is None or k != old[1]]
+            for new in corruptions:
+                if new == old:
+                    continue
+                alg.table[i][j] = new
+                got = table_check(alg)
+                assert got == element_check(alg), (case, i, j, new)
+                outcomes.add(got)
+            alg.table[i][j] = old
+    assert {"associativity failure", "unit failure"} <= outcomes
 
 
 # -- rewriting --------------------------------------------------------------
