@@ -15,8 +15,7 @@ from .characters import (BernoulliCache, DirichletCharacter, bernoulli_number,
 from .errors import (ConsistencyError, ConstructionError,
                      DegenerateInstanceError, DomainError,
                      IndeterminateOrderError, NoRootError, PoleError,
-                     PrecisionError, RamifiedError, SearchBoundError,
-                     UnsupportedPoleError)
+                     PrecisionError, RamifiedError, UnsupportedPoleError)
 from .lambdaring import (DEFAULT_TRUNCATION, LambdaElement, epsilon_char,
                          nu_k, pi_normalize, topological_generator)
 from .lfunctions import (LpReport, LSeriesInstance, analytic_invariant,
@@ -26,8 +25,8 @@ from .padic import (PadicNumber, angle_bracket, cornacchia, hensel_sqrt,
                     plog, teichmuller, v_p)
 from .qexp import (QExpansion, build_Fk, eisenstein, eisenstein_two_char,
                    hecke_T, hecke_U, hida_surrogate, verify_up_relation)
-from .regulator import (PUnitCertificate, find_p_unit, gross_regulator_general,
-                        gross_regulator_rank1)
+from .regulator import (PUnitCertificate, class_number, find_p_unit,
+                        gross_regulator_general, gross_regulator_rank1)
 from .walgebra import (Laurent, WAlgebra, WElement, build_W,
                        case1_det_identity, case2_det_identity,
                        case3_det_identity, det, epsilon_pi_minus_y, epsilon_y,
@@ -42,8 +41,7 @@ __all__ = [
     # errors
     "ConsistencyError", "ConstructionError", "DegenerateInstanceError",
     "DomainError", "IndeterminateOrderError", "NoRootError", "PoleError",
-    "PrecisionError", "RamifiedError", "SearchBoundError",
-    "UnsupportedPoleError",
+    "PrecisionError", "RamifiedError", "UnsupportedPoleError",
     # lambda ring
     "DEFAULT_TRUNCATION", "LambdaElement", "epsilon_char", "nu_k",
     "pi_normalize", "topological_generator",
@@ -58,8 +56,8 @@ __all__ = [
     "QExpansion", "build_Fk", "eisenstein", "eisenstein_two_char", "hecke_T",
     "hecke_U", "hida_surrogate", "verify_up_relation",
     # regulator
-    "PUnitCertificate", "find_p_unit", "gross_regulator_general",
-    "gross_regulator_rank1",
+    "PUnitCertificate", "class_number", "find_p_unit",
+    "gross_regulator_general", "gross_regulator_rank1",
     # W-algebras
     "Laurent", "WAlgebra", "WElement", "build_W", "case1_det_identity",
     "case2_det_identity", "case3_det_identity", "det", "epsilon_pi_minus_y",

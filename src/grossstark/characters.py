@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, PrecisionError
-from .padic import PadicNumber, factorize, is_prime, teichmuller
+from .padic import PadicNumber, factorize, is_prime
 
 
 def kronecker(a: int, n: int) -> int:
@@ -181,8 +181,10 @@ class DirichletCharacter:
             return Fraction(k)
         if prec is None:
             raise PrecisionError("character value is p-adic; a precision is required")
-        om = teichmuller(a, self.p, prec)
-        return om ** self.om_exp * Fraction(k)
+        # omega(a)^om_exp = a^(om_exp p^(prec-1)) mod p^prec in one pow
+        p = self.p
+        unit = pow(a, self.om_exp * p ** (prec - 1), p ** prec)
+        return PadicNumber(p, 0, unit, prec) * Fraction(k)
 
     # -- operations ---------------------------------------------------
 

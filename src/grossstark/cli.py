@@ -27,8 +27,7 @@ from .characters import (BernoulliCache, DirichletCharacter,
                          is_fundamental_discriminant, set_shared_cache,
                          shared_cache)
 from .errors import (ConsistencyError, ConstructionError,
-                     DegenerateInstanceError, DomainError, PrecisionError,
-                     SearchBoundError)
+                     DegenerateInstanceError, DomainError, PrecisionError)
 from .lambdaring import epsilon_char, nu_k, pi_normalize, topological_generator
 from .lfunctions import (LSeriesInstance, analytic_invariant, kubota_leopoldt,
                          lstar)
@@ -128,7 +127,7 @@ class ReportBuilder:
         error = None
         try:
             status, val, detail = fn()
-        except (DomainError, SearchBoundError, DegenerateInstanceError,
+        except (DomainError, DegenerateInstanceError,
                 ConstructionError) as exc:
             status, val, detail = "error", None, str(exc)
             error = type(exc).__name__

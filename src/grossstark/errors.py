@@ -26,7 +26,7 @@ class UnsupportedPoleError(PoleError):
 
 
 class ConsistencyError(ArithmeticError):
-    """Two internal computation routes disagreed beyond their documented tolerance."""
+    """Two internal routes disagreed beyond tolerance, or a guaranteed result was not found."""
 
 
 class IndeterminateOrderError(PrecisionError):
@@ -40,6 +40,3 @@ class ConstructionError(ValueError):
 class DegenerateInstanceError(ValueError):
     """An instance-level normalization is impossible (e.g. vanishing constant term)."""
 
-
-class SearchBoundError(RuntimeError):
-    """An incremental search exhausted its bound without finding a witness."""

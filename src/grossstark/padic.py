@@ -386,63 +386,6 @@ def _lift_sqrt(r: int, a: int, q: int, N: int) -> int:
     return r % q ** N
 
 
-def _unit_sqrts(u: int, q: int, k: int) -> list:
-    """Every square root of the unit u modulo q^k (k >= 1)."""
-    n = q ** k
-    if q != 2:
-        r = _sqrt_mod_prime(u, q)
-        if r is None:
-            return []
-        r = _lift_sqrt(r, u, q, k)
-        return sorted({r, n - r})
-    if k <= 2:
-        return [r for r in range(1, n, 2) if (r * r - u) % n == 0]
-    if u % 8 != 1:
-        return []
-    r = 1
-    for j in range(3, k):
-        # r^2 = u mod 2^j; adding 2^(j-1) flips the bit 2^j of r^2
-        if (r * r - u) % 2 ** (j + 1):
-            r += 2 ** (j - 1)
-    half = n // 2
-    return sorted({r, n - r, (r + half) % n, (n - r + half) % n})
-
-
-def _sqrt_mod_prime_power(a: int, q: int, e: int) -> list:
-    """Every r in [0, q^e) with r^2 = a (mod q^e)."""
-    n = q ** e
-    a %= n
-    if a == 0:
-        return list(range(0, n, q ** ((e + 1) // 2)))
-    v = v_p(a, q)
-    if v % 2:
-        return []
-    m, k = v // 2, e - v
-    # r = q^m s with s^2 = a / q^v (mod q^k), s taken modulo q^(e - m)
-    roots = _unit_sqrts(a // q ** v, q, k)
-    qm, qk = q ** m, q ** k
-    return sorted(qm * (s + t * qk) % n for s in roots for t in range(qm))
-
-
-def sqrt_mod(a: int, n: int) -> list:
-    """Every r in [0, n) with r^2 = a (mod n), ascending (n >= 1).
-
-    Factors n by trial division, takes the roots modulo each prime power
-    (Tonelli-Shanks, then lifting) and combines them by CRT.
-    """
-    roots, modulus = [0], 1
-    for q, e in factorize(n):
-        qe = q ** e
-        local = _sqrt_mod_prime_power(a, q, e)
-        if not local:
-            return []
-        # x = r mod modulus, x = s mod q^e
-        inv = pow(modulus, -1, qe)
-        roots = [r + modulus * ((s - r) * inv % qe) for r in roots for s in local]
-        modulus *= qe
-    return sorted(roots)
-
-
 def hensel_sqrt(a: int, p: int, N: int) -> PadicNumber:
     """Deterministic square root of a modulo p^N.
 
@@ -458,34 +401,45 @@ def hensel_sqrt(a: int, p: int, N: int) -> PadicNumber:
     return PadicNumber(p, 0, _lift_sqrt(r, a, p, N), N)
 
 
-_EXHAUSTIVE_LIMIT = 10 ** 7
-
-
 def cornacchia(D: int, m: int):
     """Primitive solution (x, y) of x^2 + D y^2 = 4m with smallest x, or None.
 
+    m must be p^h, p an odd prime not dividing D, and D = 0 or 3 mod 4.
     "Primitive" means (x + y*sqrt(-D))/2 is not divisible by any rational
-    prime in the maximal order containing it.
+    prime in the maximal order containing it.  Modified Cornacchia (Cohen,
+    Alg. 1.5.3): Euclid on (2m, r) with r^2 = -D (mod 4m) stops at the first
+    remainder b <= sqrt(4m), and b is x if (4m - b^2)/D is a square.
     """
-    if D <= 0 or m <= 0:
-        raise DomainError("D and m must be positive")
+    if D <= 0 or D % 4 not in (0, 3):
+        raise DomainError(f"D must be positive and 0 or 3 mod 4, got {D}")
+    factors = factorize(m)
+    if len(factors) != 1 or factors[0][0] == 2 or D % factors[0][0] == 0:
+        raise DomainError(f"m must be a power of an odd prime not dividing D, got {m}")
+    p, h = factors[0]
+    if pow(-D, (p - 1) // 2, p) != 1:
+        return None
+    r = hensel_sqrt(-D, p, h).residue(h)
+    if (r - D) % 2:
+        r = m - r
     target = 4 * m
-    if target <= _EXHAUSTIVE_LIMIT:
-        best = None
-        for x in range(1, math.isqrt(target) + 1):
-            r = target - x * x
-            if r <= 0 or r % D:
-                continue
-            y = math.isqrt(r // D)
-            if y == 0 or y * y * D != r:
-                continue
-            if _pi_is_primitive(x, y, D):
-                best = (x, y)
-                break
-        return best
-    candidates = _cornacchia_descent(D, target)
-    candidates = [c for c in candidates if _pi_is_primitive(c[0], c[1], D)]
-    return min(candidates) if candidates else None
+    bound = math.isqrt(target)
+    a, b = 2 * m, r
+    while b > bound:
+        a, b = b, a % b
+    rest = target - b * b
+    if rest % D:
+        return None
+    y = math.isqrt(rest // D)
+    if y == 0 or y * y * D != rest or not _pi_is_primitive(b, y, D):
+        return None
+    x = b
+    # the extra units of Q(i) and Q(sqrt(-3)) give associates with other x
+    if D == 4:
+        return min((x, y), (2 * y, x // 2))
+    if D == 3:
+        return min((x, y), (abs(x + 3 * y) // 2, abs(x - y) // 2),
+                   (abs(x - 3 * y) // 2, abs(x + y) // 2))
+    return x, y
 
 
 def _pi_is_primitive(x, y, D):
@@ -506,32 +460,3 @@ def _pi_is_primitive(x, y, D):
         else:
             return False
     return True
-
-
-def _cornacchia_descent(D, target):
-    """Solutions of x^2 + D y^2 = target via Euclidean descent from sqrt(-D).
-
-    Every remainder in the gcd chain of (modulus, root) is tested, for every
-    square root of -D, at both the 4m and m moduli (the latter catches the
-    even-coordinate solutions, rescaled by 2).
-    """
-    candidates = set()
-    moduli = [(target, 1)]
-    if target % 4 == 0:
-        moduli.append((target // 4, 2))
-    for modulus, scale in moduli:
-        roots = sqrt_mod(-D, modulus)
-        for r in roots:
-            a, b = modulus, r % modulus
-            seen = 0
-            while b > 0 and seen < 4 * len(bin(modulus)):
-                rem = modulus - b * b
-                if 0 < rem and rem % D == 0:
-                    y = math.isqrt(rem // D)
-                    if y and y * y * D == rem:
-                        x0, y0 = scale * b, scale * y
-                        if x0 * x0 + D * y0 * y0 == target:
-                            candidates.add((x0, y0))
-                a, b = b, a % b
-                seen += 1
-    return sorted(candidates)

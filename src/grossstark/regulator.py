@@ -16,14 +16,15 @@ determinants det(-l_matrix)/det(o_matrix) on supplied measurement matrices.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .characters import kronecker, is_fundamental_discriminant
-from .errors import DomainError, PrecisionError, RamifiedError, SearchBoundError
+from .errors import (ConsistencyError, DomainError, PrecisionError,
+                     RamifiedError)
 from .padic import PadicNumber, cornacchia, hensel_sqrt, plog
 from .walgebra import det
 
-DEFAULT_H_MAX = 24
 _W_MARGIN = 4
 
 
@@ -109,14 +110,37 @@ def measure_parts(d, p, h, x, y, w) -> tuple[int, PadicNumber]:
     return o, ell
 
 
-def find_p_unit(d: int, p: int, h_max: int = DEFAULT_H_MAX,
-                N: int = 12) -> PUnitCertificate:
+def class_number(d: int) -> int:
+    """h(d): the number of reduced primitive forms (a, b, c), b^2 - 4ac = d < 0.
+
+    Reduced means |b| <= a <= c, with b >= 0 when |b| = a or a = c (Cohen,
+    Alg. 5.3.5); b runs over b = d (mod 2) up to sqrt(|d|/3).
+    """
+    if d >= 0 or d % 4 not in (0, 1):
+        raise DomainError(f"d = {d} is not a negative discriminant")
+    h = 0
+    b = d % 2
+    while 3 * b * b <= -d:
+        q = (b * b - d) // 4
+        a = max(b, 1)
+        while a * a <= q:
+            if q % a == 0 and math.gcd(a, b, q // a) == 1:
+                # (a, -b, c) is reduced too unless b = 0, |b| = a or a = c
+                h += 1 if b in (0, a) or a * a == q else 2
+            a += 1
+        b += 2
+    return h
+
+
+def find_p_unit(d: int, p: int, N: int = 12) -> PUnitCertificate:
     """Find the minimal-power generator pi of P^h and certify u = pi/pibar.
 
-    Searches h = 1, 2, ... for a primitive solution of x^2 + |d| y^2 = 4 p^h;
-    the minimal h is the order of P in the class group.  The embedding root
-    w is the deterministic Hensel lift of sqrt(d), computed with enough slack
-    that l(u) retains at least N digits.
+    Searches h = 1, 2, ..., h(d) for a primitive solution of
+    x^2 + |d| y^2 = 4 p^h; the minimal h is the order of P in the class
+    group, which divides h(d), so an empty search is a fault of the program
+    (ConsistencyError).  The embedding root w is the deterministic Hensel
+    lift of sqrt(d), computed with enough slack that l(u) retains at least
+    N digits.
     """
     if d >= 0 or not is_fundamental_discriminant(d):
         raise DomainError(f"d = {d} is not a negative fundamental discriminant")
@@ -124,15 +148,16 @@ def find_p_unit(d: int, p: int, h_max: int = DEFAULT_H_MAX,
         raise RamifiedError(f"p = {p} ramifies in Q(sqrt({d}))")
     if kronecker(d, p) != 1:
         raise DomainError(f"p = {p} is inert in Q(sqrt({d}))")
-    for h in range(1, h_max + 1):
+    hd = class_number(d)
+    for h in range(1, hd + 1):
         sol = cornacchia(-d, p ** h)
         if sol is None:
             continue
         x, y = sol
         w = hensel_sqrt(d, p, N + h + _W_MARGIN)
         return PUnitCertificate(d, p, h, x, y, w)
-    raise SearchBoundError(
-        f"no primitive norm-form solution for d={d}, p={p} with h <= {h_max}")
+    raise ConsistencyError(
+        f"no primitive norm-form solution for d={d}, p={p} with h <= h(d) = {hd}")
 
 
 def gross_regulator_rank1(cert: PUnitCertificate) -> PadicNumber:

@@ -13,7 +13,7 @@ from grossstark.characters import (BernoulliCache, DirichletCharacter,
                                    is_fundamental_discriminant, kronecker,
                                    prime_discriminant, set_shared_cache)
 from grossstark.errors import ConsistencyError, DomainError, PrecisionError
-from grossstark.padic import PadicNumber
+from grossstark.padic import PadicNumber, teichmuller
 
 
 # -- kronecker oracle ------------------------------------------------------
@@ -151,6 +151,27 @@ def test_irrational_values_need_precision():
     val = om(2, prec=10)
     assert isinstance(val, PadicNumber)
     assert (val ** 4).residue(10) == 1
+
+
+def test_padic_values_are_teichmuller_powers():
+    # chi(a) = kronecker(disc, a) omega(a)^e: the same value and declared
+    # precision as the PadicNumber power of the Teichmueller lift
+    for p in (3, 5, 7, 11):
+        for e in range(1, p - 1):
+            for disc in (1, -4):
+                chi = DirichletCharacter(disc, p, e)
+                for N in (1, 4, 12, 50):
+                    for a in range(-20, 40):
+                        got = chi(a, N)
+                        if a % p == 0 or disc == -4 and a % 2 == 0:
+                            assert got == 0
+                            continue
+                        want = teichmuller(a, p, N) ** e * kronecker(disc, a)
+                        if chi.is_rational:  # e = (p-1)/2 folds into disc
+                            assert got == want, (p, e, disc, N, a)
+                            continue
+                        assert (got.v, got.unit, got.nabs) == \
+                            (want.v, want.unit, want.nabs), (p, e, disc, N, a)
 
 
 def test_teichmuller_twist_always_carries_p():

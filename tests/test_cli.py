@@ -11,7 +11,7 @@ import pytest
 from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, ReportBuilder,
                             RunConfig, UsageError, main)
 from grossstark.errors import (ConstructionError, DegenerateInstanceError,
-                               SearchBoundError)
+                               DomainError)
 from grossstark.walgebra import WAlgebra
 
 
@@ -129,24 +129,50 @@ def test_gross_stark_non_split_is_error(capsys, tmp_path):
 
 def test_gross_stark_searches_before_the_series_engine(capsys, tmp_path,
                                                        monkeypatch):
-    # h(-1151) = 41 > 24: the p-unit search gives up before any series pass
+    # a p-unit search that fails ends the check before any series pass
     import grossstark.cli as cli
     calls = []
-    real = cli.analytic_invariant
 
     def counted(instance):
         calls.append(instance)
-        return real(instance)
+        raise AssertionError("the series engine must not run")
+
+    def no_unit(d, p, N=12):
+        raise DomainError("no p-unit")
 
     monkeypatch.setattr(cli, "analytic_invariant", counted)
+    monkeypatch.setattr(cli, "find_p_unit", no_unit)
     report_path = tmp_path / "r.json"
-    code, _, _ = run(["gross-stark", "--p", "3", "--disc", "-1151",
+    code, _, _ = run(["gross-stark", "--p", "5", "--disc", "-4",
                       "--json", str(report_path)], capsys)
     assert code == 1
     checks = json.loads(report_path.read_text())["checks"]
     assert [(c["status"], c["error"]) for c in checks] == \
-        [("error", "SearchBoundError")]
+        [("error", "DomainError")]
     assert calls == []
+
+
+def test_gross_stark_class_number_41(capsys, tmp_path):
+    # h(-1151) = 41: the p-unit search runs to the class number
+    report_path = tmp_path / "r.json"
+    code, _, _ = run(["gross-stark", "--p", "3", "--disc", "-1151",
+                      "--json", str(report_path)], capsys)
+    assert code == 0
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [c["status"] for c in checks] == ["pass"]
+
+
+def test_gross_stark_empty_p_unit_search_fails(capsys, tmp_path, monkeypatch):
+    # no norm-form solution up to h(d) is a program fault: a fail record
+    import grossstark.regulator as regulator
+    monkeypatch.setattr(regulator, "cornacchia", lambda D, m: None)
+    report_path = tmp_path / "r.json"
+    code, _, _ = run(["gross-stark", "--p", "5", "--disc", "-4",
+                      "--json", str(report_path)], capsys)
+    assert code == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [(c["status"], c.get("error")) for c in checks] == [("fail", None)]
+    assert "h(d) = 1" in checks[0]["detail"]
 
 
 def test_w_algebra_run(capsys):
@@ -220,8 +246,7 @@ def test_hecke_run(capsys, tmp_path):
 
 # -- precision gate ---------------------------------------------------------------
 
-@pytest.mark.parametrize("exc", [SearchBoundError, DegenerateInstanceError,
-                                 ConstructionError])
+@pytest.mark.parametrize("exc", [DegenerateInstanceError, ConstructionError])
 def test_library_errors_become_error_records(exc):
     # one failing instance is recorded and the batch goes on
     rb = ReportBuilder(RunConfig("gross-stark", discs=(-4,)))

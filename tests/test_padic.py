@@ -11,7 +11,7 @@ from grossstark.errors import (DomainError, NoRootError, PrecisionError,
                                RamifiedError)
 from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
                               factorize, hensel_sqrt, is_prime, is_zero, plog,
-                              sqrt_mod, teichmuller, v_p)
+                              teichmuller, v_p)
 
 
 def N(p, x, nabs=12):
@@ -200,39 +200,6 @@ def test_hensel_sqrt_large_prime():
         assert 1 <= w.residue(1) <= p // 2
 
 
-def _brute_roots(n):
-    roots = {}
-    for r in range(n):
-        roots.setdefault(r * r % n, []).append(r)
-    return roots
-
-
-def test_sqrt_mod_against_brute_force():
-    # every a mod n for n <= 500, then every a for larger moduli with high
-    # powers of 2 and odd prime squares (a | n cases included throughout)
-    for n in list(range(1, 501)) + [1024, 1152, 1250, 1331, 1369, 1372,
-                                    1445, 1458, 1499, 1500]:
-        roots = _brute_roots(n)
-        for a in range(n):
-            assert sqrt_mod(a, n) == roots.get(a, []), (a, n)
-    assert sqrt_mod(-7, 8) == [1, 3, 5, 7]
-
-
-def test_sqrt_mod_large_prime_powers():
-    for q, h in ((1000003, 3), (1000033, 2), (3, 41)):
-        for n in (q ** h, 4 * q ** h):
-            for a in (-11, -1151, -20):
-                roots = sqrt_mod(a, n)
-                assert all((r * r - a) % n == 0 for r in roots)
-                assert roots == sorted(set(roots))
-                assert sorted((n - r) % n for r in roots) == roots
-                # a unit mod q: two roots mod q^h, times two mod 4
-                if pow(a, (q - 1) // 2, q) == 1:
-                    assert len(roots) == (2 if n % 4 else 4)
-                else:
-                    assert roots == []
-
-
 def test_hensel_sqrt_errors():
     with pytest.raises(NoRootError):
         hensel_sqrt(2, 5, 8)  # 2 is not a QR mod 5
@@ -249,12 +216,50 @@ def test_cornacchia_binding_examples():
     assert cornacchia(3, 5) is None        # 5 inert in Q(sqrt(-3))
 
 
+_CORNACCHIA_DS = (3, 4, 7, 8, 11, 15, 20, 23, 24)
+_ODD_PRIMES = [q for q in range(3, 4000) if is_prime(q)]
+
+
+def _random_prime_power(rng, D, limit):
+    """m = q^h < limit with q an odd prime not dividing D, h in 1..5."""
+    # a large h may leave no prime (D = 15, limit 1500, h = 4): step h down
+    for h in range(rng.choice((1, 1, 2, 3, 4, 5)), 0, -1):
+        qs = [q for q in _ODD_PRIMES if q ** h < limit and D % q]
+        if qs:
+            return rng.choice(qs) ** h
+
+
+def _brute_cornacchia(D, m):
+    # brute-force oracle over the full solution set
+    best = None
+    x = 0
+    while x * x <= 4 * m:
+        rest = 4 * m - x * x
+        if rest % D == 0:
+            y2 = rest // D
+            y = math.isqrt(y2)
+            if y * y == y2 and y > 0 and x > 0:
+                # primitivity mirror of the library rule
+                primitive = True
+                for q in range(2, 60):
+                    if m % (q * q) == 0 and (4 * m) % (q * q) == 0:
+                        if x % q == 0 and y % q == 0 \
+                                and (x // q) ** 2 + D * (y // q) ** 2 == 4 * m // (q * q):
+                            primitive = False
+                            break
+                if primitive:
+                    best = (x, y)
+                    break
+        x += 1
+    return best
+
+
 def test_cornacchia_norm_identity_and_primitivity():
     rng = random.Random(7)
     found = 0
     for _ in range(300):
-        D = rng.choice([3, 4, 7, 8, 11, 15, 20, 23, 24])
-        m = rng.randrange(2, 4000)
+        D = rng.choice(_CORNACCHIA_DS)
+        m = _random_prime_power(rng, D, 4000)
         sol = cornacchia(D, m)
         if sol is None:
             continue
@@ -273,50 +278,36 @@ def test_cornacchia_norm_identity_and_primitivity():
 
 
 def test_cornacchia_matches_exhaustive_search():
-    # brute-force oracle over the full solution set
-    def brute(D, m):
-        best = None
-        x = 0
-        while x * x <= 4 * m:
-            rest = 4 * m - x * x
-            if rest % D == 0:
-                y2 = rest // D
-                y = math.isqrt(y2)
-                if y * y == y2 and y > 0 and x > 0:
-                    # primitivity mirror of the library rule
-                    primitive = True
-                    for q in range(2, 60):
-                        if m % (q * q) == 0 and (4 * m) % (q * q) == 0:
-                            if x % q == 0 and y % q == 0 \
-                                    and (x // q) ** 2 + D * (y // q) ** 2 == 4 * m // (q * q):
-                                primitive = False
-                                break
-                    if primitive:
-                        best = (x, y)
-                        break
-            x += 1
-        return best
-
     rng = random.Random(11)
     for _ in range(120):
-        D = rng.choice([3, 4, 7, 8, 11])
-        m = rng.randrange(2, 1500)
+        D = rng.choice(_CORNACCHIA_DS)
+        m = _random_prime_power(rng, D, 1500)
         got = cornacchia(D, m)
-        want = brute(D, m)
+        want = _brute_cornacchia(D, m)
         assert got == want, (D, m, got, want)
 
 
-def test_cornacchia_descent_matches_exhaustive_search(monkeypatch):
-    # 4m just above the exhaustive limit goes through the descent; the
-    # exhaustive branch, with its limit lifted, is the oracle
-    assert 4 * 2500001 > padic._EXHAUSTIVE_LIMIT
-    cases = [(D, m) for D in (3, 4, 7, 8, 11, 15, 20, 23)
-             for m in list(range(2500001, 2500026)) + [3 ** 14, 7 ** 8, 13 ** 6]]
-    descent = [cornacchia(D, m) for D, m in cases]
-    monkeypatch.setattr(padic, "_EXHAUSTIVE_LIMIT", 10 ** 9)
-    exhaustive = [cornacchia(D, m) for D, m in cases]
-    assert descent == exhaustive
-    assert sum(sol is not None for sol in exhaustive) >= 20
+def test_cornacchia_large_prime_powers_match_exhaustive_search():
+    # 4q^h > 10^7, where the Euclidean stop at sqrt(4m) has many steps to go
+    cases = [(D, m) for D in _CORNACCHIA_DS
+             for q, m in ((3, 3 ** 14), (5, 5 ** 10), (7, 7 ** 8), (13, 13 ** 6))
+             if D % q]
+    assert all(4 * m > 10 ** 7 for _, m in cases)
+    got = [cornacchia(D, m) for D, m in cases]
+    assert got == [_brute_cornacchia(D, m) for D, m in cases]
+    assert sum(sol is not None for sol in got) >= 10
+
+
+@pytest.mark.parametrize("D, m", [
+    (7, 15), (7, 3 * 11 ** 2),    # composite m
+    (7, 2), (7, 2 ** 6),          # m = 2^k
+    (15, 5), (20, 5 ** 3), (24, 3),  # q divides D
+    (7, 1), (7, 0), (7, -11),     # no prime at all
+    (5, 7), (0, 7), (-7, 11),     # D not minus a discriminant
+])
+def test_cornacchia_domain(D, m):
+    with pytest.raises(DomainError):
+        cornacchia(D, m)
 
 
 def test_truncate_and_same_to():

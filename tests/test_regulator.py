@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from grossstark.errors import (DomainError, RamifiedError, SearchBoundError)
+from grossstark import regulator
+from grossstark.characters import is_fundamental_discriminant, kronecker
+from grossstark.errors import ConsistencyError, DomainError, RamifiedError
 from grossstark.padic import PadicNumber, hensel_sqrt
-from grossstark.regulator import (PUnitCertificate, find_p_unit,
+from grossstark.regulator import (PUnitCertificate, class_number, find_p_unit,
                                   gross_regulator_general,
                                   gross_regulator_rank1)
 
@@ -22,10 +24,11 @@ def test_find_p_unit_binding_examples():
 
 
 def test_find_p_unit_higher_class_number():
-    # orders of P in the class group: 3, 5, 7 for these fields
+    # orders of P in the class group: 3, 5, 7, 41 for these fields
     assert find_p_unit(-23, 13).h == 3
     assert find_p_unit(-47, 7).h == 5
     assert find_p_unit(-71, 5).h == 7
+    assert find_p_unit(-1151, 3).h == 41  # the search runs to h(d) = 41
 
 
 def test_find_p_unit_guards():
@@ -37,8 +40,39 @@ def test_find_p_unit_guards():
         find_p_unit(-20, 5)       # 5 divides -20
     with pytest.raises(DomainError):
         find_p_unit(-4, 7)        # inert
-    with pytest.raises(SearchBoundError):
-        find_p_unit(-23, 13, h_max=2)  # h = 3 lies beyond the bound
+
+
+def test_class_number_known_values():
+    for d in (-3, -4, -7, -8, -11, -19, -43, -67, -163):  # Heegner
+        assert class_number(d) == 1, d
+    want = {-23: 3, -47: 5, -71: 7, -119: 10, -215: 14, -1151: 41}
+    for d, h in want.items():
+        assert class_number(d) == h, d
+    # non-fundamental: (2, 2, 2), (2, 0, 2) and (2, 2, 4) are not primitive
+    assert [class_number(d) for d in (-12, -16, -28)] == [1, 1, 1]
+    for d in (0, 5, -1, -6):
+        with pytest.raises(DomainError):
+            class_number(d)
+
+
+def test_p_unit_order_divides_class_number():
+    found = 0
+    for d in range(-3, -400, -1):
+        if not is_fundamental_discriminant(d):
+            continue
+        hd = class_number(d)
+        for p in (3, 5, 7, 11, 13):
+            if kronecker(d, p) == 1:
+                assert hd % find_p_unit(d, p).h == 0, (d, p)
+                found += 1
+    assert found > 200
+
+
+def test_empty_search_is_a_consistency_error(monkeypatch):
+    # the order of P divides h(d), so no solution up to h(d) is a fault
+    monkeypatch.setattr(regulator, "cornacchia", lambda D, m: None)
+    with pytest.raises(ConsistencyError, match="h\\(d\\) = 3"):
+        find_p_unit(-23, 13)
 
 
 def test_certificate_validation():
