@@ -9,6 +9,7 @@ p-adic operand's precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -276,8 +277,11 @@ def is_prime(n: int) -> bool:
 def plog(x: PadicNumber) -> PadicNumber:
     """Iwasawa logarithm: log(p) = 0, log(zeta) = 0 for roots of unity.
 
-    Strips p^v and the Teichmueller factor, then evaluates
-    log(1+t) = sum (-1)^(n+1) t^n / n on the principal-unit part.
+    With rel digits of the unit part u and m = (p-1) p^rel, u^m = 1 + y
+    where v_p(y) >= rel + 1, so log(1+y) = y - y^2/2 + ... = y modulo
+    p^(2 rel + 2), and log u = log(u^m) / m = (y / p^rel) (p-1)^-1 modulo
+    p^rel.  Every declared digit is exact: u known modulo p^rel fixes u^m
+    modulo p^(2 rel), because (1 + p^rel t)^m = 1 modulo p^(2 rel).
     """
     if x.exact_zero or x.unit == 0:
         raise DomainError("plog of zero")
@@ -285,50 +289,31 @@ def plog(x: PadicNumber) -> PadicNumber:
     rel = x.nabs - x.v
     if rel < 2:
         raise PrecisionError("plog needs at least 2 digits of the unit part")
-    # headroom for the p-part of the denominators n
-    nmax = rel + 2 * _ilog(rel + 2, p) + 4
-    buf = _ilog(nmax, p) + 2
-    W = rel + buf
-    pw = p ** W
-    u = x.unit % pw
-    omega = pow(u, p ** (W - 1), pw)
-    u1 = u * pow(omega, -1, pw) % pw
-    t = (u1 - 1) % pw
-    acc = 0
-    tn = 1
-    for n in range(1, nmax + 1):
-        tn = tn * t % pw
-        vn = v_p(n, p)
-        # t^n has valuation >= n >= p^vn > vn, so the division is exact
-        term = tn // p ** vn * pow(n // p ** vn, -1, pw) % pw
-        acc = (acc + (term if n % 2 == 1 else -term)) % pw
-        # remaining terms all have valuation >= (n+1) - log_p(n+1)
-        if n + 1 - _ilog(n + 1, p) > rel:
-            break
-    return PadicNumber(p, 0, acc % p ** rel, rel)
+    pr = p ** rel
+    y = pow(x.unit, (p - 1) * pr, pr * pr) - 1
+    return PadicNumber(p, 0, y // pr * pow(p - 1, -1, pr), rel)
 
 
-def _ilog(n, p):
-    v = 0
-    while p ** (v + 1) <= n:
-        v += 1
-    return v
+@functools.cache
+def teichmuller_lift(r: int, p: int, N: int) -> int:
+    """omega(r) modulo p^N for 0 < r < p: the (p-1)-th root of unity = r mod p."""
+    if N < 1:
+        raise DomainError(f"precision must be at least 1, got {N}")
+    return pow(r, p ** (N - 1), p ** N)
 
 
 def teichmuller(a: int, p: int, N: int) -> PadicNumber:
     """The Teichmueller representative: omega(a)^(p-1) = 1, omega(a) = a mod p."""
     if a % p == 0:
         raise DomainError(f"{a} is divisible by {p}")
-    return PadicNumber(p, 0, pow(a, p ** (N - 1), p ** N), N)
+    return PadicNumber(p, 0, teichmuller_lift(a % p, p, N), N)
 
 
 def angle_bracket(a: int, p: int, N: int) -> PadicNumber:
-    """The principal-unit part <a> = a / omega(a), congruent to 1 mod p."""
+    """The principal-unit part <a> = a / omega(a) = a omega(a^-1), congruent to 1 mod p."""
     if a % p == 0:
         raise DomainError(f"{a} is divisible by {p}")
-    pk = p ** N
-    om = pow(a, p ** (N - 1), pk)
-    return PadicNumber(p, 0, a * pow(om, -1, pk), N)
+    return PadicNumber(p, 0, a * teichmuller_lift(pow(a, -1, p), p, N), N)
 
 
 def factorize(n: int) -> list:

@@ -59,21 +59,25 @@ class Laurent:
         return cls({(0, 1): Fraction(1)})
 
     @staticmethod
-    def _coerce(x):
+    def _terms(x):
+        """The terms of a Laurent, or of an int or Fraction as a constant; else None."""
         if isinstance(x, Laurent):
-            return x
+            return x.terms
         if isinstance(x, (int, Fraction)):
-            return Laurent.const(x)
+            return {(0, 0): x} if x else {}
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+    def _combine(self, other, sign):
+        terms = self._terms(other)
+        if terms is None:
             return NotImplemented
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+        for k, v in terms.items():
+            out[k] = out.get(k, 0) + sign * v
         return Laurent(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -81,23 +85,20 @@ class Laurent:
         return Laurent({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        terms = self._terms(other)
+        if terms is None:
             return NotImplemented
         out = {}
         for (a, b), v in self.terms.items():
-            for (c, d), w in other.terms.items():
+            for (c, d), w in terms.items():
                 k = (a + c, b + d)
-                out[k] = out.get(k, Fraction(0)) + v * w
+                out[k] = out.get(k, 0) + v * w
         return Laurent(out)
 
     __rmul__ = __mul__
@@ -110,10 +111,10 @@ class Laurent:
         return Laurent({(-a, -b): 1 / v})
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        terms = self._terms(other)
+        if terms is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -330,33 +331,28 @@ class WAlgebra:
     def one(self):
         return self.element({("pi", 0): self._one()})
 
-    def pi(self, power=1):
-        if power == 0:
-            return self.one()
-        entry = self._reduce(power, 0, frozenset())
+    def _from_entry(self, entry):
+        """The element sc * mono of a reduced (sc, mono), None standing for zero."""
         if entry is None:
             return self.zero()
         sc, mono = entry
         return self.element({mono: sc})
 
+    def pi(self, power=1):
+        if power == 0:
+            return self.one()
+        return self._from_entry(self._reduce(power, 0, frozenset()))
+
     def y(self, power=1):
         if power == 0:
             return self.one()
-        entry = self._reduce(0, power, frozenset())
-        if entry is None:
-            return self.zero()
-        sc, mono = entry
-        return self.element({mono: sc})
+        return self._from_entry(self._reduce(0, power, frozenset()))
 
     def eps(self, *indices):
         J = frozenset(indices)
         if not J or not J <= set(range(1, self.r + 1)):
             raise DomainError("eps indices must be a nonempty subset of 1..r")
-        entry = self._reduce(0, 0, J)
-        if entry is None:
-            return self.zero()
-        sc, mono = entry
-        return self.element({mono: sc})
+        return self._from_entry(self._reduce(0, 0, J))
 
     def eps_product(self):
         """eps_1 * ... * eps_r, already reduced."""

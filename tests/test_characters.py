@@ -151,6 +151,8 @@ def test_irrational_values_need_precision():
     val = om(2, prec=10)
     assert isinstance(val, PadicNumber)
     assert (val ** 4).residue(10) == 1
+    with pytest.raises(DomainError):
+        DirichletCharacter(-4, 5, 1)(3, 0)
 
 
 def test_padic_values_are_teichmuller_powers():

@@ -123,22 +123,30 @@ def test_teichmuller_binding_values():
     t = teichmuller(2, 5, 2)
     assert t.residue(2) == 7
     # omega(a)^(p-1) = 1 and omega(a) = a mod p
-    for p in (3, 5, 7):
-        for a in range(1, p):
-            w = teichmuller(a, p, 10)
-            assert (w ** (p - 1)).residue(10) == 1
-            assert w.residue(1) == a % p
+    for p in (3, 5, 7, 13):
+        for a in list(range(1, p)) + [-1, -2, -p - 2]:
+            for prec in (1, 10, 50):
+                w = teichmuller(a, p, prec)
+                assert w.precision == prec
+                assert (w ** (p - 1)).residue(prec) == 1
+                assert w.residue(1) == a % p
+    with pytest.raises(DomainError):
+        teichmuller(2, 5, 0)
 
 
 def test_angle_bracket():
-    for p in (3, 5, 7):
-        for a in (2, 3, 4, 8):
+    for p in (3, 5, 7, 13):
+        for a in (2, 3, 4, 8, -1, -2, -17, 100):
             if a % p == 0:
                 continue
-            x = angle_bracket(a, p, 10)
-            assert x.residue(1) == 1  # principal unit
-            # a = omega(a) * <a>
-            assert (teichmuller(a, p, 10) * x - a).is_zero_to_precision()
+            for prec in (1, 10, 50):
+                x = angle_bracket(a, p, prec)
+                assert x.precision == prec
+                assert x.residue(1) == 1  # principal unit
+                # a = omega(a) * <a>
+                assert (teichmuller(a, p, prec) * x - a).is_zero_to_precision()
+    with pytest.raises(DomainError):
+        angle_bracket(2, 5, 0)
 
 
 def test_plog_is_iwasawa_log():
@@ -169,6 +177,69 @@ def test_plog_strips_valuation():
     p = 5
     x = N(p, 50, 14)  # 2 * 5^2
     assert (plog(x) - plog(N(p, 2, 14))).is_zero_to_precision()
+
+
+def _series_plog(x):
+    """log(1+t) = sum (-1)^(n+1) t^n / n on x's principal-unit part: the oracle for plog."""
+    p = x.p
+    rel = x.nabs - x.v
+
+    def ilog(n):
+        v = 0
+        while p ** (v + 1) <= n:
+            v += 1
+        return v
+
+    # headroom for the p-part of the denominators n
+    nmax = rel + 2 * ilog(rel + 2) + 4
+    W = rel + ilog(nmax) + 2
+    pw = p ** W
+    u = x.unit % pw
+    omega = pow(u, p ** (W - 1), pw)
+    t = (u * pow(omega, -1, pw) - 1) % pw
+    acc = 0
+    tn = 1
+    for n in range(1, nmax + 1):
+        tn = tn * t % pw
+        vn = v_p(n, p)
+        term = tn // p ** vn * pow(n // p ** vn, -1, pw) % pw
+        acc = (acc + (term if n % 2 == 1 else -term)) % pw
+        # remaining terms all have valuation >= (n+1) - log_p(n+1)
+        if n + 1 - ilog(n + 1) > rel:
+            break
+    return PadicNumber(p, 0, acc % p ** rel, rel)
+
+
+def _random_unit(rng, p, rel):
+    while True:
+        u = rng.randrange(1, p ** rel)
+        if u % p:
+            return u
+
+
+def test_plog_matches_the_series():
+    rng = random.Random(3)
+    cases = [(p, 2, v) for p in (3, 5, 7, 11, 13) for v in range(-3, 4)]
+    cases += [(rng.choice((3, 5, 7, 11, 13)), rng.randint(2, 64),
+               rng.randint(-3, 3)) for _ in range(1500)]
+    for p, rel, v in cases:
+        x = PadicNumber(p, v, _random_unit(rng, p, rel), v + rel)
+        got, want = plog(x), _series_plog(x)
+        assert (got.v, got.unit, got.nabs) == (want.v, want.unit, want.nabs), \
+            (p, rel, v, x.unit)
+
+
+def test_plog_precision_is_honest():
+    # ten more digits of the argument leave the declared digits unchanged
+    rng = random.Random(4)
+    for p in (3, 5, 7, 11, 13):
+        for rel in (2, 3, 7, 20, 40):
+            u = _random_unit(rng, p, rel)
+            lo = plog(PadicNumber(p, 1, u, 1 + rel))
+            extra = u + p ** rel * rng.randrange(p ** 10)
+            hi = plog(PadicNumber(p, 1, extra, 1 + rel + 10))
+            assert lo.precision == rel and hi.precision == rel + 10
+            assert hi.residue(rel) == lo.residue(rel), (p, rel, u)
 
 
 def test_hensel_sqrt_binding_values():

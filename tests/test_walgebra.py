@@ -248,6 +248,16 @@ def test_laurent_arithmetic():
         Laurent.const(0).inverse()
     assert not Laurent.const(0)
     assert (L - L) == Laurent.const(0)
+    # int and Fraction operands act as constants, on either side
+    half = Fraction(1, 2)
+    assert (L + 3).terms == {(1, 0): 1, (0, 0): 3}
+    assert (L - half).terms == {(1, 0): 1, (0, 0): -half}
+    assert (3 - L).terms == {(1, 0): -1, (0, 0): 3}
+    assert (half * W * 4).terms == {(0, 1): 2}
+    assert (L + 3) - 3 == L and L * 1 == L and 2 + L - 2 == L
+    assert L * 0 == 0 and (L - L) == 0 and L - L == Fraction(0)
+    assert (L + 1) * 2 == 2 * L + 2 and Laurent.const(5) == 5
+    assert L != 0 and Laurent.const(5) != 4
 
 
 def test_formal_algebra_eps_product():
