@@ -96,7 +96,7 @@ def _fold_discriminant(D: int):
 class DirichletCharacter:
     """Immutable Dirichlet character in canonical factored form."""
 
-    __slots__ = ("disc", "p", "om_exp", "zeros")
+    __slots__ = ("disc", "p", "om_exp", "zeros", "modulus")
 
     def __init__(self, disc, p=None, om_exp=0, zeros=frozenset()):
         disc, p, om_exp, zeros = _canonicalize(disc, p, om_exp, zeros)
@@ -104,6 +104,9 @@ class DirichletCharacter:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "om_exp", om_exp)
         object.__setattr__(self, "zeros", zeros)
+        # derived from the four fields above, stored because every value
+        # tests gcd(a, modulus)
+        object.__setattr__(self, "modulus", self.conductor * math.prod(zeros))
 
     def __setattr__(self, name, value):
         raise AttributeError("DirichletCharacter is immutable")
@@ -127,10 +130,6 @@ class DirichletCharacter:
     @property
     def conductor(self):
         return abs(self.disc) * (self.p if self.om_exp else 1)
-
-    @property
-    def modulus(self):
-        return self.conductor * math.prod(self.zeros)
 
     @property
     def parity(self):

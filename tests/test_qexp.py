@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from grossstark import qexp
 from grossstark.characters import DirichletCharacter
 from grossstark.errors import (ConsistencyError, DomainError, PrecisionError)
-from grossstark.padic import teichmuller
+from grossstark.lfunctions import classical_L_at_nonpositive
+from grossstark.padic import is_zero, teichmuller
 from grossstark.qexp import (QExpansion, build_Fk, eisenstein,
                              eisenstein_two_char, hecke_T, hecke_U,
                              hida_surrogate, verify_up_relation)
@@ -16,9 +18,45 @@ def chi(d):
     return DirichletCharacter.quadratic(d)
 
 
-def divisor_sum(n, char, k):
-    return sum(char(d) * Fraction(d) ** (k - 1) for d in range(1, n + 1)
+def divisor_sum(n, char, k, prec=None):
+    return sum(char(d, prec) * Fraction(d) ** (k - 1) for d in range(1, n + 1)
                if n % d == 0)
+
+
+def _divisors(n):
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _two_char_divisor_loop(k, eta, psi, n_terms, prec=None):
+    """The coefficients of E_k(eta, psi) by trial division, one n at a time:
+    the oracle for the sieve in `eisenstein_two_char`."""
+    coeffs = [Fraction(0)]
+    for n in range(1, n_terms + 1):
+        acc = Fraction(0)
+        for d in _divisors(n):
+            a = eta(n // d, prec)
+            if is_zero(a):
+                continue
+            b = psi(d, prec)
+            if is_zero(b):
+                continue
+            acc = acc + a * b * Fraction(d) ** (k - 1)
+        coeffs.append(acc)
+    return tuple(coeffs)
+
+
+def same_coeffs(got, want):
+    """Equal coefficient tuples, entry types included (Fraction vs PadicNumber)."""
+    return ([type(c) for c in got] == [type(c) for c in want]
+            and list(got) == list(want))
 
 
 def test_eisenstein_weight1_values():
@@ -29,6 +67,53 @@ def test_eisenstein_weight1_values():
         assert E.coeff(n) == divisor_sum(n, chi(-4), 1), n
     assert E.coeff(5) == 2
     assert E.coeff(25) == 3
+
+
+def test_eisenstein_matches_divisor_oracle():
+    # whole tuples, constant term included, against one divisor sum per n
+    n_terms = 300
+    chars = [(chi(-4), None), (chi(-23), None), (chi(5), None), (chi(12), None),
+             (DirichletCharacter.teichmuller_power(5, 1), 10),
+             (DirichletCharacter.teichmuller_power(7, 2), 10),
+             (DirichletCharacter(-4, 7, 1), 12), (DirichletCharacter(-4, 7, 2), 12)]
+    seen = set()
+    for k in range(1, 6):
+        for char, prec in chars:
+            if char.parity != (-1) ** k:
+                continue
+            for support in ((), (3,), (5, 7)):
+                E = eisenstein(k, char, support, n_terms, prec)
+                etaJ = char.raise_modulus(support)
+                want = [classical_L_at_nonpositive(etaJ, 1 - k, prec) * Fraction(1, 2)]
+                want += [divisor_sum(n, etaJ, k, prec) for n in range(1, n_terms + 1)]
+                assert same_coeffs(E.coeffs, want), (k, char, support)
+                seen.add((k, char.is_rational, bool(support)))
+    assert len(seen) == 5 * 2 * 2  # every weight, both value types, raised and not
+
+
+def test_eisenstein_evaluates_each_d_once(monkeypatch):
+    # the sieve takes one character value per d, in ascending order; the
+    # constant term (a sum over the modulus) is stubbed out of the count
+    calls = []
+    value = DirichletCharacter.__call__
+
+    def counted(self, a, prec=None):
+        calls.append(a)
+        return value(self, a, prec)
+
+    monkeypatch.setattr(DirichletCharacter, "__call__", counted)
+    monkeypatch.setattr(qexp, "classical_L_at_nonpositive",
+                        lambda *args: Fraction(0))
+    n = 400
+    for char, prec in ((chi(-4), None), (DirichletCharacter(-4, 7, 2), 10)):
+        assert char.is_rational == (prec is None)
+        calls.clear()
+        eisenstein(1, char, (), n, prec)
+        assert len(calls) <= n + 1, char
+        assert calls == sorted(set(calls)), char
+        calls.clear()
+        eisenstein_two_char(2, char, chi(-3), n, prec)
+        assert len(calls) <= 2 * n + 1, char
 
 
 def test_eisenstein_higher_weight():
@@ -78,6 +163,20 @@ def test_two_char_eisenstein():
                    if n % d == 0)
         assert E.coeff(n) == want
     assert E.character == chi(-4) * chi(-3)
+
+
+def test_two_char_matches_divisor_loop():
+    n_terms = 300
+    om = DirichletCharacter.teichmuller_power
+    cases = [(2, chi(-4), chi(-3), None), (1, chi(-4), DirichletCharacter.trivial(), None),
+             (3, chi(-4), chi(5), None), (3, chi(-4), om(7, 2), 10),
+             (2, chi(-3), om(7, 1), 12), (3, DirichletCharacter(-4, 5, 1), chi(-7), 10),
+             (3, DirichletCharacter(-4, 5, 1), om(5, 1), 10)]
+    for k, eta, psi, prec in cases:
+        assert (eta.is_rational and psi.is_rational) == (prec is None)
+        E = eisenstein_two_char(k, eta, psi, n_terms, prec)
+        want = _two_char_divisor_loop(k, eta, psi, n_terms, prec)
+        assert same_coeffs(E.coeffs, want), (k, eta, psi)
 
 
 def test_two_char_guards():
