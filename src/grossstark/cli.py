@@ -9,7 +9,9 @@ Subcommands mirror the library's check families:
     verify lambda        weight-specialization bridge nu_k(eps(x)) = <x>^{k-1}
 
 Exit codes: 0 when every check passes (inconclusive counts as non-failure),
-1 when any check fails or errors, 2 for usage/configuration problems.
+1 when any check fails or errors, 2 for usage/configuration problems and
+when the cache directory cannot be made or the cache or the report cannot
+be written.
 """
 
 from __future__ import annotations
@@ -451,16 +453,25 @@ def main(argv=None) -> int:
         return 2
     cache = None
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot use the cache directory: {exc}",
+                  file=sys.stderr)
+            return 2
         cache = BernoulliCache(os.path.join(cache_dir, "bernoulli.json"))
         set_shared_cache(cache)
+    errors = []
     try:
         rb = COMMANDS[config.command](config)
         report = rb.report()
     finally:
         if cache is not None:
-            cache.save()
             set_shared_cache(None)
+            try:
+                cache.save()
+            except OSError as exc:
+                errors.append(f"cannot save the cache: {exc}")
     for check in report["checks"]:
         val = check["discrepancy_valuation"]
         vs = "" if val is None else f" valuation={val}"
@@ -475,7 +486,12 @@ def main(argv=None) -> int:
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     print(f"{len(report['checks'])} checks: {summary}")
     if config.json_path:
-        with open(config.json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return rb.exit_code()
+        try:
+            with open(config.json_path, "w") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            errors.append(f"cannot write the report: {exc}")
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 2 if errors else rb.exit_code()

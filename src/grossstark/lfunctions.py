@@ -17,10 +17,11 @@ differences at s = p^m.  Results are declared at absolute precision N and
 the sum is worked to W = N + 8 digits, leaving a documented noise margin of
 at least four digits.
 
-The sum over a runs on plain integers modulo p^M, M = W + K + 2:
+The sum over a runs on plain integers modulo p^M, M = W + K + 2, with K
+taken at the highest order among the evaluation points:
 
 - The coefficients d_j = jet(binom(1-s-delta, j)) B_j F^j depend only on s
-  and j.  They are built once per call as exact Fractions, scaled by p^K
+  and j.  They are built once per point as exact Fractions, scaled by p^K
   and reduced mod p^M.  K = 1 covers the p in the denominator of B_j
   (von Staudt-Clausen; v_p(F^j/j!) >= 0 covers the rest), plus
   v_p(order!) for the exp-jets below; a value that is still not
@@ -32,9 +33,11 @@ The sum over a runs on plain integers modulo p^M, M = W + K + 2:
   <a>^(1-s) = pow(<a>, (1-s) mod p^(M-1), p^M).
 - exp(-delta log<a>) contributes (-log<a>)^t / t!; the loop multiplies by
   order!/t! instead and divides by order! once after the loop.
-- psi(a), <a>, a^-1 and log_p<a> mod p^M are built once per instance
-  (`_Residues`) and shared by the series passes of one public call, such
-  as the four of `analytic_invariant`; nothing is cached across calls.
+- One call takes every evaluation point (s, order) that a public function
+  needs, such as s = 0 and the three finite-difference points of
+  `analytic_invariant`.  psi(a), <a>, a^-1 and log_p<a> mod p^M are built
+  once in that call and one loop over a serves every point; nothing is
+  cached across calls.
 """
 
 from __future__ import annotations
@@ -90,11 +93,6 @@ class LSeriesInstance:
     def r(self) -> int:
         return len(self.R)
 
-    @property
-    def twist(self) -> DirichletCharacter:
-        """chi * omega, the character whose L_p this instance evaluates."""
-        return self.chi.teichmuller_twist(1, self.p)
-
 
 @dataclass(frozen=True)
 class LpReport:
@@ -139,45 +137,26 @@ def lstar(chi: DirichletCharacter, n: int, p: int, prec=None):
 
 # one power of p clears the p that B_j may have in its denominator
 _HEADROOM = 1
+# the finite differences that check the s = 0 derivative sit at s = p^m
+_FD_EXPONENTS = (2, 3, 4)
 
 
-class _Residues:
-    """psi(a), <a> and a^-1 mod p^M for the a in [1, F] with psi(a) != 0.
+def _logs(units: list, p: int, M: int) -> list:
+    """log_p<a> mod p^M for the ascending units a, the first of them 1.
 
-    The logs log_p<a> mod p^M are filled on first demand: plog on the
-    primes q <= F, additivity (log_p is a homomorphism on Z_p^x) on the
-    composites.
+    plog runs on the primes q <= F; the composites follow by additivity
+    (log_p is a homomorphism on Z_p^x).
     """
-
-    def __init__(self, psi: DirichletCharacter, p: int, M: int):
-        pm = p ** M
-        self.p, self.M = p, M
-        self.units, self.rows = [], []
-        for a in range(1, psi.modulus + 1):
-            cv = psi(a, M)
-            if is_zero(cv):
-                continue
-            c = cv.residue(M) if isinstance(cv, PadicNumber) else int(cv) % pm
-            self.units.append(a)
-            self.rows.append((c, angle_bracket(a, p, M).residue(M),
-                              pow(a, -1, pm)))
-        self._logs = None
-
-    def logs(self) -> list:
-        """log_p<a> mod p^M, aligned with rows."""
-        if self._logs is None:
-            p, M = self.p, self.M
-            spf = _smallest_prime_factors(self.units[-1])
-            # the factors of a unit a are units below a, so already known
-            log = {1: 0}
-            for a in self.units[1:]:
-                q = spf[a]
-                if q == a:
-                    log[a] = plog(angle_bracket(a, p, M)).residue(M)
-                else:
-                    log[a] = (log[q] + log[a // q]) % p ** M
-            self._logs = [log[a] for a in self.units]
-        return self._logs
+    spf = _smallest_prime_factors(units[-1])
+    # the factors of a unit a are units below a, so already known
+    log = {1: 0}
+    for a in units[1:]:
+        q = spf[a]
+        if q == a:
+            log[a] = plog(angle_bracket(a, p, M)).residue(M)
+        else:
+            log[a] = (log[q] + log[a // q]) % p ** M
+    return [log[a] for a in units]
 
 
 def _smallest_prime_factors(n: int) -> list:
@@ -223,80 +202,92 @@ def _horner(rows: list, i: int) -> list:
     return coeffs[::-1]
 
 
-def _series_jets(chi: DirichletCharacter, p: int, W: int, s, order: int,
-                 tables: dict | None = None):
+def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
     """Taylor coefficients (in a formal increment at s) of L_p(chi*omega, .).
 
-    Returns (coeffs, good_to): order+1 Fractions, each congruent to the
-    corresponding Taylor coefficient modulo p^good_to.  good_to is W minus
-    a four-digit noise margin, further capped by the precision of a p-adic
-    argument s.  Passes on one instance share their per-a residues when
-    they are given the same tables dict.
+    points is a sequence of (s, order).  Returns one (coeffs, good_to) per
+    point: order+1 Fractions, each congruent to the corresponding Taylor
+    coefficient modulo p^good_to.  good_to is W minus a four-digit noise
+    margin, further capped by the precision of a p-adic argument s.  Every
+    point is checked before anything is built, and one loop over a serves
+    them all.
     """
     psi = chi.teichmuller_twist(1, p)
     if psi.is_trivial_function:
         raise UnsupportedPoleError(
             "chi equals the inverse Teichmueller character; L_p has a pole")
-    F = psi.modulus
-    good_to = W - 4
-    if isinstance(s, PadicNumber):
-        if s.valuation < 1:
-            raise DomainError("s must lie in the convergence neighborhood p*Z_p")
-        eff = min(W, s.precision)
-        sigma = s.residue(eff)
-        good_to = min(good_to, eff)
-    else:
-        sigma = int(s)
-        if sigma == 1:
+    sigmas = []  # (sigma, good_to) per point
+    for s, _ in points:
+        if isinstance(s, PadicNumber):
+            if s.valuation < 1:
+                raise DomainError(
+                    "s must lie in the convergence neighborhood p*Z_p")
+            eff = min(W, s.precision)
+            sigmas.append((s.residue(eff), min(W - 4, eff)))
+        elif int(s) == 1:
             raise PoleError("s = 1 is outside the domain")
-    fact = math.factorial(order)
-    K = _HEADROOM + v_p(fact, p)
-    M = W + K + 2
+        else:
+            sigmas.append((int(s), W - 4))
+    top = max(order for _, order in points)
+    M = W + _HEADROOM + v_p(math.factorial(top), p) + 2
     pm = p ** M
+    F = psi.modulus
     # tail terms carry (F/a)^j / j! with total valuation >= j(1 - 1/(p-1)) - 1
     jmax = 2 * W + 10
     bernoulli_number(jmax)  # fills a cold table in one pass
     bern = [bernoulli_number(j) for j in range(jmax + 1)]
-    d = _binomial_jets(sigma, F, bern, order, p, pm)
-    even = [_horner(d[0::2], i) for i in range(order + 1)]
-    odd = [_horner(d[1::2], i) for i in range(order + 1)]
-    falling = [fact // math.factorial(t) for t in range(order + 1)]
-    exponent = (1 - sigma) % p ** (M - 1)
-    if tables is None:
-        tables = {}
-    res = tables.get((psi, M))
-    if res is None:
-        res = tables[psi, M] = _Residues(psi, p, M)
-    logs = res.logs() if order else [0] * len(res.rows)
-    total = [0] * (order + 1)
-    for (c, ang, inv), lam in zip(res.rows, logs):
+    passes = []
+    for (sigma, _), (_, order) in zip(sigmas, points):
+        d = _binomial_jets(sigma, F, bern, order, p, pm)
+        fact = math.factorial(order)
+        passes.append((range(order + 1),
+                       [_horner(d[0::2], i) for i in range(order + 1)],
+                       [_horner(d[1::2], i) for i in range(order + 1)],
+                       [fact // math.factorial(t) for t in range(order + 1)],
+                       (1 - sigma) % p ** (M - 1)))
+    units, rows = [], []
+    for a in range(1, F + 1):
+        cv = psi(a, M)
+        if is_zero(cv):
+            continue
+        c = cv.residue(M) if isinstance(cv, PadicNumber) else int(cv) % pm
+        units.append(a)
+        rows.append((c, angle_bracket(a, p, M).residue(M), pow(a, -1, pm)))
+    logs = _logs(units, p, M) if top else [0] * len(rows)
+    totals = [[0] * len(ords) for ords, *_ in passes]
+    for (c, ang, inv), lam in zip(rows, logs):
         inv2 = inv * inv % pm
-        inner = []
-        for i in range(order + 1):
-            acc = 0
-            for e in even[i]:
-                acc = (acc * inv2 + e) % pm
-            acc_odd = 0
-            for e in odd[i]:
-                acc_odd = (acc_odd * inv2 + e) % pm
-            inner.append(acc + inv * acc_odd)
-        # <a>^{1-s-delta} = <a>^{1-s} exp(-delta log<a>), times order!
-        w = c * pow(ang, exponent, pm) % pm
-        ajet = []
-        for t in range(order + 1):
-            ajet.append(w * falling[t])
-            w = w * -lam % pm
-        for i in range(order + 1):
-            total[i] += sum(ajet[t] * inner[i - t] for t in range(i + 1))
-    # the p-part of order! sits in K; divide out its unit part
-    unit_inv = pow(fact // p ** v_p(fact, p), -1, pm)
-    scaled = [Fraction(x * unit_inv % pm, p ** K) for x in total]
-    # prefactor 1/(F (s - 1 + delta)) as a jet
-    pref = [Fraction((-1) ** i, F * (sigma - 1) ** (i + 1))
-            for i in range(order + 1)]
-    out = [sum(scaled[t] * pref[i - t] for t in range(i + 1))
-           for i in range(order + 1)]
-    return out, good_to
+        for (ords, even, odd, falling, exponent), total in zip(passes, totals):
+            inner = []
+            for i in ords:
+                acc = 0
+                for e in even[i]:
+                    acc = (acc * inv2 + e) % pm
+                acc_odd = 0
+                for e in odd[i]:
+                    acc_odd = (acc_odd * inv2 + e) % pm
+                inner.append(acc + inv * acc_odd)
+            # <a>^{1-s-delta} = <a>^{1-s} exp(-delta log<a>), times order!
+            w = c * pow(ang, exponent, pm) % pm
+            ajet = []
+            for t in ords:
+                ajet.append(w * falling[t])
+                w = w * -lam % pm
+            for i in ords:
+                total[i] += sum(ajet[t] * inner[i - t] for t in range(i + 1))
+    out = []
+    for (sigma, good_to), (_, order), total in zip(sigmas, points, totals):
+        fact = math.factorial(order)
+        K = _HEADROOM + v_p(fact, p)
+        # the p-part of order! sits in K; divide out its unit part
+        unit_inv = pow(fact // p ** v_p(fact, p), -1, pm)
+        scaled = [Fraction(x * unit_inv % pm, p ** K) for x in total]
+        # prefactor 1/(F (s - 1 + delta)) as a jet
+        pref = [Fraction((-1) ** i, F * (sigma - 1) ** (i + 1))
+                for i in range(order + 1)]
+        out.append(([sum(scaled[t] * pref[i - t] for t in range(i + 1))
+                     for i in range(order + 1)], good_to))
+    return out
 
 
 def _declared(p: int, x: Fraction, N: int) -> PadicNumber:
@@ -312,18 +303,22 @@ def kubota_leopoldt(instance: LSeriesInstance, s=0) -> PadicNumber:
     identity L_p(chi*omega, n) = L*(chi*omega^n, n).
     """
     W = instance.N + _MARGIN
-    jets, good_to = _series_jets(instance.chi, instance.p, W, s, 0)
+    [(jets, good_to)] = _series_jets(instance.chi, instance.p, W, [(s, 0)])
     return _declared(instance.p, jets[0], min(instance.N, good_to))
 
 
-def _jets_at_0(instance: LSeriesInstance, order: int, tables=None) -> list:
-    """Taylor coefficients 0..order of L_p(chi*omega, s) at s = 0.
+def _derivative_inputs(instance: LSeriesInstance):
+    """The s = 0 jets to order 1 and L_p(p^m) for each finite-difference m.
 
-    The integer point s = 0 keeps W - 4 = N + 4 good digits, so every
-    coefficient may be declared at the instance's precision N.
+    One series call serves all four points.  The integer point s = 0 keeps
+    W - 4 = N + 4 good digits, so both jets may be declared at the
+    instance's precision N.
     """
-    W = instance.N + _MARGIN
-    return _series_jets(instance.chi, instance.p, W, 0, order, tables)[0]
+    p = instance.p
+    points = [(0, 1)] + [(p ** m, 0) for m in _FD_EXPONENTS]
+    (jets, _), *rest = _series_jets(instance.chi, p, instance.N + _MARGIN,
+                                   points)
+    return jets, [coeffs[0] for coeffs, _ in rest]
 
 
 def lp_derivative_at_0(instance: LSeriesInstance) -> PadicNumber:
@@ -333,18 +328,15 @@ def lp_derivative_at_0(instance: LSeriesInstance) -> PadicNumber:
     (L_p(p^m) - L_p(0))/p^m for m = 2, 3, 4, which must agree to within
     O(p^(m-1)); disagreement raises ConsistencyError.
     """
-    tables = {}
-    return _checked_derivative(instance, _jets_at_0(instance, 1, tables),
-                               tables)
+    return _checked_derivative(instance, *_derivative_inputs(instance))
 
 
 def _checked_derivative(instance: LSeriesInstance, jets,
-                        tables=None) -> PadicNumber:
-    p, W = instance.p, instance.N + _MARGIN
-    d1 = jets[1]
+                        values) -> PadicNumber:
+    """jets[1], checked against the finite differences of values = L_p(p^m)."""
+    p, d1 = instance.p, jets[1]
     check_to = min(instance.N, 3)
-    for m in (2, 3, 4):
-        lm = _series_jets(instance.chi, p, W, p ** m, 0, tables)[0][0]
+    for m, lm in zip(_FD_EXPONENTS, values):
         fd = (lm - jets[0]) / p ** m
         if v_p(fd - d1, p) < min(m - 1, check_to):
             raise ConsistencyError(
@@ -361,7 +353,10 @@ def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
     ord >= j; it never proves vanishing.  With N < 6 the report declines to
     draw a conclusive line.
     """
-    jets = _jets_at_0(instance, max_r) if instance.N >= 2 else None
+    if instance.N < 2:
+        return _probe(instance, None)
+    [(jets, _)] = _series_jets(instance.chi, instance.p,
+                               instance.N + _MARGIN, [(0, max_r)])
     return _probe(instance, jets)
 
 
@@ -397,11 +392,10 @@ def analytic_invariant(instance: LSeriesInstance) -> LpReport:
     r = 0 it reduces to L_p(0) over the classical value times the surviving
     Euler factor, which the interpolation property forces to be 1.
     """
-    tables = {}
-    jets = _jets_at_0(instance, 1, tables)
+    jets, values = _derivative_inputs(instance)
     L0 = _declared(instance.p, jets[0], instance.N)
     classic = classical_L_at_nonpositive(instance.chi, 0)
-    d1 = _checked_derivative(instance, jets, tables)
+    d1 = _checked_derivative(instance, jets, values)
     if instance.r == 1:
         lan = d1 / classic
     else:

@@ -332,3 +332,51 @@ def test_summary_line(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert "checks:" in lines[-1]
     assert "pass" in lines[-1]
+
+
+# -- file errors ----------------------------------------------------------------
+
+def test_report_in_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "no" / "such" / "r.json"
+    code, out, err = run(["lambda", "--p", "5", "--prec", "6",
+                          "--json", str(path)], capsys)
+    assert code == 2
+    assert "checks:" in out                     # the run itself completed
+    assert err.count("error:") == 1
+    assert "cannot write the report" in err
+    assert "Traceback" not in err
+
+
+def test_cache_that_is_a_file_exits_2_before_any_check(capsys, tmp_path,
+                                                       monkeypatch):
+    import grossstark.cli as cli
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+
+    def never(config):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setitem(cli.COMMANDS, "lambda", never)
+    code, out, err = run(["lambda", "--cache", str(blocker)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "cannot use the cache directory" in err
+    assert blocker.read_text() == "not a directory"
+
+
+def test_failing_cache_save_exits_2(capsys, tmp_path):
+    # the save writes bernoulli.json.tmp first; a directory there stops it
+    cache = tmp_path / "cache"
+    (cache / "bernoulli.json.tmp").mkdir(parents=True)
+    report_path = tmp_path / "r.json"
+    code, _, err = run(["interp", "--p", "5", "--disc", "-4", "--prec", "8",
+                        "--cache", str(cache), "--json", str(report_path)],
+                       capsys)
+    assert code == 2
+    assert err.count("error:") == 1
+    assert "cannot save the cache" in err
+    # the report is still written, and the shared cache is unhooked
+    assert json.loads(report_path.read_text())["checks"]
+    from grossstark.characters import shared_cache
+    assert shared_cache() is None

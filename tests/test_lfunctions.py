@@ -1,11 +1,13 @@
 """Kubota-Leopoldt series: interpolation, trivial zeros, derivatives."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 import grossstark.lfunctions as lfunctions
 from grossstark.characters import DirichletCharacter
+from grossstark.cli import main
 from grossstark.errors import (ConsistencyError, DomainError, PoleError,
                                UnsupportedPoleError)
 from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
@@ -78,6 +80,11 @@ def test_padic_argument_needs_positive_valuation():
     s = PadicNumber.from_exact(5, 3, 10)  # a unit: outside the disc contract
     with pytest.raises(DomainError):
         kubota_leopoldt(inst, s)
+
+
+def test_pole_at_s_equal_1():
+    with pytest.raises(PoleError):
+        kubota_leopoldt(LSeriesInstance(5, chi(-4), 10), 1)
 
 
 def test_instance_validation():
@@ -164,18 +171,54 @@ def test_analytic_invariant_rank0_is_one():
     assert (rep.l_an - 1).valuation >= 8
 
 
-def test_analytic_invariant_makes_four_series_passes(monkeypatch):
-    # one order-1 pass at s = 0 plus the three finite differences at s = p^m
-    calls = []
-    engine = lfunctions._series_jets
+def test_each_public_call_makes_one_series_call(monkeypatch):
+    # s = 0 to order 1 and the three finite differences at s = p^m share one
+    # call, and so one residue table and one log fill
+    calls, fills = [], []
+    engine, logs = lfunctions._series_jets, lfunctions._logs
 
-    def counted(*args):
-        calls.append(args[3])
-        return engine(*args)
+    def counted(chi, p, W, points):
+        calls.append(list(points))
+        return engine(chi, p, W, points)
+
+    def counted_logs(*args):
+        fills.append(args[1:])
+        return logs(*args)
 
     monkeypatch.setattr(lfunctions, "_series_jets", counted)
-    analytic_invariant(LSeriesInstance(5, chi(-4), 12))
-    assert calls == [0, 25, 125, 625]
+    monkeypatch.setattr(lfunctions, "_logs", counted_logs)
+    inst = LSeriesInstance(5, chi(-4), 12)
+    four = [(0, 1), (25, 0), (125, 0), (625, 0)]
+    for fn, points, n_fills in ((analytic_invariant, four, 1),
+                                (lp_derivative_at_0, four, 1),
+                                (kubota_leopoldt, [(0, 0)], 0),
+                                (order_probe, [(0, 3)], 1)):
+        calls.clear()
+        fills.clear()
+        fn(inst)
+        assert calls == [points], fn.__name__
+        assert fills == [(5, 23)] * n_fills, fn.__name__
+
+
+def test_derivative_fails_when_a_finite_difference_disagrees(monkeypatch,
+                                                             capsys):
+    # L_p(p^3) moved by p^3 moves its finite difference by a unit
+    engine = lfunctions._series_jets
+
+    def perturbed(chi, p, W, points):
+        out = engine(chi, p, W, points)
+        return [([c[0] + p ** 3] + c[1:] if s == p ** 3 else c, good_to)
+                for (s, _), (c, good_to) in zip(points, out)]
+
+    monkeypatch.setattr(lfunctions, "_series_jets", perturbed)
+    inst = LSeriesInstance(5, chi(-4), 12)
+    for fn in (lp_derivative_at_0, analytic_invariant):
+        with pytest.raises(ConsistencyError, match=r"p\^3"):
+            fn(inst)
+    assert main(["gross-stark", "--p", "5", "--disc", "-4"]) == 1
+    out = capsys.readouterr().out
+    assert "[        fail] gross-stark p=5 d=-4" in out
+    assert "p^3" in out
 
 
 @pytest.mark.parametrize("p,d", [(5, -4), (7, -4)])
@@ -221,7 +264,7 @@ def test_series_jets_golden_residues(p, d, W, s, order, good_to, expected):
     # (valuation, residue mod p^good_to), captured from the exact Fraction engine
     if isinstance(s, tuple):
         s = PadicNumber.from_exact(*s)
-    jets, got_to = lfunctions._series_jets(chi(d), p, W, s, order)
+    [(jets, got_to)] = lfunctions._series_jets(chi(d), p, W, [(s, order)])
     assert got_to == good_to
     got = [PadicNumber.from_exact(p, c, good_to) for c in jets]
     assert [(x.valuation, x.residue(good_to)) for x in got] == expected
@@ -233,26 +276,38 @@ def test_series_jets_rejects_non_integral_coefficients(monkeypatch):
     monkeypatch.setattr(lfunctions, "bernoulli_number",
                         lambda j: Fraction(1, 5 ** 9) if j == 4 else real(j))
     with pytest.raises(ConsistencyError, match=r"j=4 \(order 1\)"):
-        lfunctions._series_jets(chi(-4), 5, 12, 0, 1)
+        lfunctions._series_jets(chi(-4), 5, 12, [(0, 1)])
 
 
-def test_residue_logs_by_additivity_match_plog():
+def test_logs_by_additivity_match_plog():
     p, M = 3, 14
     psi = chi(-56).teichmuller_twist(1, p)
-    res = lfunctions._Residues(psi, p, M)
-    for a, lam in zip(res.units, res.logs()):
+    units = [a for a in range(1, psi.modulus + 1)
+             if math.gcd(a, psi.modulus) == 1]
+    for a, lam in zip(units, lfunctions._logs(units, p, M)):
         assert lam == plog(angle_bracket(a, p, M)).residue(M), a
 
 
-def test_analytic_invariant_builds_one_residue_table(monkeypatch):
-    # the four series passes of one invariant share their per-a data
-    built = []
-    table = lfunctions._Residues
+def test_series_jets_checks_every_point_first(monkeypatch):
+    # a bad point anywhere in the list raises before any residue is built
+    def unbuilt(*args):
+        raise AssertionError("the residue rows must not be built")
 
-    def counted(*args):
-        built.append(args)
-        return table(*args)
+    monkeypatch.setattr(lfunctions, "angle_bracket", unbuilt)
+    unit = PadicNumber.from_exact(5, 3, 10)
+    with pytest.raises(PoleError):
+        lfunctions._series_jets(chi(-4), 5, 12, [(0, 1), (25, 0), (1, 0)])
+    with pytest.raises(DomainError):
+        lfunctions._series_jets(chi(-4), 5, 12, [(0, 0), (unit, 0)])
+    with pytest.raises(UnsupportedPoleError):
+        lfunctions._series_jets(chi(-3), 3, 12, [(0, 1), (9, 0)])
 
-    monkeypatch.setattr(lfunctions, "_Residues", counted)
-    analytic_invariant(LSeriesInstance(5, chi(-4), 12))
-    assert len(built) == 1
+
+def test_series_jets_points_match_single_calls():
+    # each point of a multi-point call equals the same point called alone
+    p, W = 7, 16
+    s_padic = PadicNumber.from_exact(p, Fraction(5 * p, 2), 12)
+    points = [(0, 1), (p ** 2, 0), (-3, 0), (s_padic, 0)]
+    together = lfunctions._series_jets(chi(-20), p, W, points)
+    alone = [lfunctions._series_jets(chi(-20), p, W, [pt])[0] for pt in points]
+    assert together == alone
