@@ -171,9 +171,50 @@ def test_analytic_invariant_rank0_is_one():
     assert (rep.l_an - 1).valuation >= 8
 
 
+def test_analytic_invariant_makes_four_series_passes(monkeypatch):
+    # s = 0 to order 1 plus the three finite differences at s = p^m, all
+    # four taken in one series-engine call
+    calls = []
+    engine = lfunctions._series_jets
+
+    def counted(chi, p, W, points):
+        calls.append(list(points))
+        return engine(chi, p, W, points)
+
+    monkeypatch.setattr(lfunctions, "_series_jets", counted)
+    analytic_invariant(LSeriesInstance(5, chi(-4), 12))
+    assert calls == [[(0, 1), (25, 0), (125, 0), (625, 0)]]
+
+
+def test_analytic_invariant_builds_one_residue_table(monkeypatch):
+    # the four points share their per-a data: one log fill, and no more
+    # angle brackets than a single order-1 point at s = 0 needs
+    brackets, fills = [], []
+    bracket, logs = lfunctions.angle_bracket, lfunctions._logs
+
+    def counted_bracket(*args):
+        brackets.append(args)
+        return bracket(*args)
+
+    def counted_logs(*args):
+        fills.append(args[1:])
+        return logs(*args)
+
+    monkeypatch.setattr(lfunctions, "angle_bracket", counted_bracket)
+    monkeypatch.setattr(lfunctions, "_logs", counted_logs)
+    lfunctions._series_jets(chi(-4), 5, 12, [(0, 1)])
+    one_point = len(brackets)
+    assert one_point > 0
+    brackets.clear()
+    fills.clear()
+    analytic_invariant(LSeriesInstance(5, chi(-4), 12))
+    assert fills == [(5, 23)]
+    assert len(brackets) == one_point
+
+
 def test_each_public_call_makes_one_series_call(monkeypatch):
-    # s = 0 to order 1 and the three finite differences at s = p^m share one
-    # call, and so one residue table and one log fill
+    # the other public routes also make one call, with one log fill when
+    # some point needs a derivative
     calls, fills = [], []
     engine, logs = lfunctions._series_jets, lfunctions._logs
 
@@ -189,8 +230,7 @@ def test_each_public_call_makes_one_series_call(monkeypatch):
     monkeypatch.setattr(lfunctions, "_logs", counted_logs)
     inst = LSeriesInstance(5, chi(-4), 12)
     four = [(0, 1), (25, 0), (125, 0), (625, 0)]
-    for fn, points, n_fills in ((analytic_invariant, four, 1),
-                                (lp_derivative_at_0, four, 1),
+    for fn, points, n_fills in ((lp_derivative_at_0, four, 1),
                                 (kubota_leopoldt, [(0, 0)], 0),
                                 (order_probe, [(0, 3)], 1)):
         calls.clear()
