@@ -220,15 +220,7 @@ class DirichletCharacter:
         p = self.p or p
         if p is None:
             raise DomainError("no prime attached; pass p explicitly")
-        disc, om = self.disc, self.om_exp
-        if disc % p == 0:
-            disc //= prime_discriminant(p)
-            om = (om + (p - 1) // 2) % (p - 1)
-        om = (om + j) % (p - 1)
-        zeros = self.zeros
-        if om == 0:
-            zeros = zeros | {p}
-        return DirichletCharacter(disc, p, om, zeros)
+        return (self * DirichletCharacter.teichmuller_power(p, j)).raise_modulus({p})
 
 
 def _canonicalize(disc, p, om_exp, zeros):
@@ -292,7 +284,8 @@ class BernoulliCache:
             if not _bernoulli_table_valid(table):
                 return
             self._table = table
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                ZeroDivisionError):
             return
 
     def save(self):

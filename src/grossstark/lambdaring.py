@@ -91,7 +91,7 @@ class LambdaElement:
         return LambdaElement(self.p, [-c for c in self.coeffs], self.M)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LambdaElement) else -_as_fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -117,10 +117,6 @@ class LambdaElement:
     __rmul__ = __mul__
 
 
-def _as_fraction(x):
-    return x if isinstance(x, PadicNumber) else Fraction(x)
-
-
 def _scalar_precision(h, scalar):
     live = [c.precision for c in h.coeffs if not c.exact_zero]
     return int(min(live)) if live else 1
@@ -129,24 +125,17 @@ def _scalar_precision(h, scalar):
 def nu_k(h: LambdaElement, k) -> PadicNumber:
     """Weight-k specialization: evaluate h at T = u^{k-1} - 1.
 
-    k may be an int or a PadicNumber.  nu_1 is the augmentation (constant
-    term).  The result's precision is capped at (M+1) * v_p(u^{k-1} - 1),
-    the valuation bound of the discarded tail.
+    k is an int (a non-int raises DomainError).  nu_1 is the augmentation
+    (constant term).  The result's precision is capped at
+    (M+1) * v_p(u^{k-1} - 1), the valuation bound of the discarded tail.
     """
-    p, u = h.p, topological_generator(h.p)
-    if isinstance(k, PadicNumber):
-        W = min(k.precision, max(c.precision for c in h.coeffs
-                                 if not c.exact_zero) if any(not c.exact_zero for c in h.coeffs) else k.precision)
-        W = int(W)
-        rep = (k - 1).residue(W) if not (k - 1).exact_zero else 0
-        if rep == 0:
-            return h.coeff(0)
-        t = PadicNumber(p, 0, pow(u, rep, p ** W), W) - 1
-    else:
-        if k == 1:
-            return h.coeff(0)
-        t = Fraction(u) ** (k - 1) - 1
-        t = PadicNumber.from_exact(p, t, v_p(t, p) * (h.M + 2) + 4)
+    if not isinstance(k, int):
+        raise DomainError(f"the weight k must be an int, got {k!r}")
+    if k == 1:
+        return h.coeff(0)
+    p = h.p
+    t = Fraction(topological_generator(p)) ** (k - 1) - 1
+    t = PadicNumber.from_exact(p, t, v_p(t, p) * (h.M + 2) + 4)
     v0 = t.valuation
     acc = PadicNumber.zero(p)
     for c in reversed(h.coeffs):
@@ -165,7 +154,7 @@ def epsilon_char(x, p: int, M: int = DEFAULT_TRUNCATION, N: int = 12) -> LambdaE
     of a Z_p exponent are p-adically integral; the working precision is
     inflated by v_p(M!) to absorb the factorial divisions en route.
     """
-    W = N + _vp_factorial(M, p) + 4
+    W = N + v_p(math.factorial(M), p) + 4
     if isinstance(x, PadicNumber):
         W = min(W, int(x.precision))
         xv = x
@@ -186,14 +175,6 @@ def epsilon_char(x, p: int, M: int = DEFAULT_TRUNCATION, N: int = 12) -> LambdaE
             c = c.truncate(N)
         out.append(c)
     return LambdaElement(p, out, M)
-
-
-def _vp_factorial(M, p):
-    v, q = 0, p
-    while q <= M:
-        v += M // q
-        q *= p
-    return v
 
 
 def pi_normalize(h: LambdaElement):

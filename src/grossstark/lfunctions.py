@@ -26,8 +26,8 @@ taken at the highest order among the evaluation points:
   (von Staudt-Clausen; v_p(F^j/j!) >= 0 covers the rest), plus
   v_p(order!) for the exp-jets below; a value that is still not
   p-integral raises ConsistencyError.
-- For each a the inner sum over j is a Horner loop in a^-1 (in a^-2 over
-  the even j, since B_j = 0 for odd j > 1).
+- For each a the inner sum over j is a Horner loop in a^-2 over the even
+  j, plus the single odd term d_1 a^-1 (B_j = 0 for odd j > 1).
 - One exponent rule serves integer and p-adic s alike: <a> generates a
   subgroup of (1 + pZ)/p^M of order dividing p^(M-1), so
   <a>^(1-s) = pow(<a>, (1-s) mod p^(M-1), p^M).
@@ -242,7 +242,7 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
         fact = math.factorial(order)
         passes.append((range(order + 1),
                        [_horner(d[0::2], i) for i in range(order + 1)],
-                       [_horner(d[1::2], i) for i in range(order + 1)],
+                       d[1],  # the one odd row: B_j = 0 for odd j > 1
                        [fact // math.factorial(t) for t in range(order + 1)],
                        (1 - sigma) % p ** (M - 1)))
     units, rows = [], []
@@ -257,16 +257,13 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
     totals = [[0] * len(ords) for ords, *_ in passes]
     for (c, ang, inv), lam in zip(rows, logs):
         inv2 = inv * inv % pm
-        for (ords, even, odd, falling, exponent), total in zip(passes, totals):
+        for (ords, even, d1, falling, exponent), total in zip(passes, totals):
             inner = []
             for i in ords:
                 acc = 0
                 for e in even[i]:
                     acc = (acc * inv2 + e) % pm
-                acc_odd = 0
-                for e in odd[i]:
-                    acc_odd = (acc_odd * inv2 + e) % pm
-                inner.append(acc + inv * acc_odd)
+                inner.append(acc + inv * d1[i])
             # <a>^{1-s-delta} = <a>^{1-s} exp(-delta log<a>), times order!
             w = c * pow(ang, exponent, pm) % pm
             ajet = []

@@ -1,18 +1,22 @@
 """Exact models of the nilpotent Artin algebras W_1, W_2, W_3.
 
 Each algebra is a finite-dimensional commutative E-algebra presented by a
-fixed monomial basis and a dense multiplication table.  The defining ideals
-are monomial apart from the binomial relations, which are oriented into
-rewriting rules:
+fixed monomial basis and a dense multiplication table.  In every case
+eps_i^2 = eps_i pi = eps_i y = 0 and y(pi - y) = 0 (pi*y -> y^2); past that
+the defining ideals are monomial apart from the binomial relations, which
+are oriented into rewriting rules:
 
-    case 1:  pi^{r_an+1} = 0, eps_i^2 = eps_i pi = 0,
+    case 1:  pi^{r_an+1} = 0, no y,
              eps_1...eps_r -> (-1)^{r_an+1} L pi^{r_an}
-    case 2:  additionally y(pi - y) = 0 (pi*y -> y^2), y^{r_an+1} = 0,
-             pi^{r_an} -> y^{r_an} (W+1)/W,  eps_i y = 0,
+    case 2:  y^{r_an+1} = 0, pi^{r_an} -> y^{r_an} (W+1)/W,
              eps_1...eps_r -> (-1)^{r_an+1} L W^{-1} y^{r_an}
-    case 3:  pi^{s+1} = 0, y^{t+1} = 0, pi*y -> y^2, y^t -> c pi^s
+    case 3:  pi^{s+1} = 0, y^{t+1} = 0, y^t -> c pi^s
              (the W-datum is c pi^{s-t}, stored by its unit coefficient c),
              eps_1...eps_r -> (-1)^{s+1} L pi^s
+
+Each case stores these rules, scalars included, and its top pi- and y-powers
+once at construction, and one reduction serves all three.  The basis is the
+powers up to the tops that no rule rewrites, then the proper eps-products.
 
 Every product of two basis monomials reduces to scalar * basis monomial, so
 the table is dense and exact.  Scalars are Fractions, PadicNumbers, or (in
@@ -145,6 +149,11 @@ def _scalar_inv(s):
 # ("eps", frozenset J) with J a nonempty proper-or-full subset of {1..r}
 
 
+def _monomial(mono):
+    """A basis monomial, with "pi" and "y" standing for their first powers."""
+    return (mono, 1) if mono in ("pi", "y") else mono
+
+
 def _degree(mono) -> int:
     kind, v = mono
     return len(v) if kind == "eps" else v
@@ -164,97 +173,83 @@ class WAlgebra:
     def __init__(self, case, r, r_an=None, s=None, t=None, L=0, W=None):
         self.case = case
         self.r = r
+        self.L = L
+        self.W = W
+        self.formal = isinstance(L, Laurent)
+        self._unit = one = Laurent.const(1) if self.formal else Fraction(1)
+        full = ("eps", frozenset(range(1, r + 1)))
+        # one block per case: its checks, its top pi- and y-powers and its
+        # rewrite rules monomial -> (scalar, target), as in the module docstring
         if case in (1, 2):
             if r_an is None or r < 1 or r_an < r:
                 raise ConstructionError("need r_an >= r >= 1")
             self.r_an, self.s, self.t = r_an, None, None
             self.max_degree = r_an
+            sign = (-1) ** (r_an + 1)
+            if case == 1:
+                if W is not None:
+                    raise ConstructionError("case 1 carries no W-datum")
+                tops = (r_an, 0)
+                rules = {full: (L * one * sign, ("pi", r_an))}
+            else:
+                self._check_W()
+                w_inv = _scalar_inv(W)
+                tops = (r_an, r_an)
+                rules = {full: (L * w_inv * sign, ("y", r_an)),
+                         ("pi", r_an): ((W + 1) * w_inv, ("y", r_an))}
         elif case == 3:
             if s is None or t is None or r < 1 or not s > t >= 1:
                 raise ConstructionError(
                     "case 3 needs s > t >= 1 (t = 0 degenerates the W-relation)")
             self.r_an, self.s, self.t = None, s, t
             self.max_degree = s
+            self._check_W()
+            tops = (s, t)
+            rules = {full: (L * one * (-1) ** (s + 1), ("pi", s)),
+                     ("y", t): (W * one, ("pi", s))}
         else:
             raise ConstructionError(f"unknown case {case}")
-        if case == 1:
-            if W is not None:
-                raise ConstructionError("case 1 carries no W-datum")
-        else:
-            if W is None or is_zero(W):
-                raise ConstructionError("cases 2 and 3 need a nonzero W scalar")
-        if isinstance(L, Laurent) != isinstance(W, Laurent) and case != 1:
-            raise ConstructionError("L and W must both be formal or both concrete")
-        self.L = L
-        self.W = W
-        self.formal = isinstance(L, Laurent)
-        self.basis = self._make_basis()
+        if is_zero(rules[full][0]):
+            del rules[full]  # L = 0: the full eps-product is zero
+        self._rules = rules
+        pi_top, y_top = tops
+        powers = ([("pi", a) for a in range(pi_top + 1)]
+                  + [("y", b) for b in range(1, y_top + 1)])
+        self.basis = [m for m in powers if m not in rules] + [
+            ("eps", frozenset(J)) for size in range(1, r)
+            for J in itertools.combinations(range(1, r + 1), size)]
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.table = self._make_table()
         self._check_structure()
 
     # -- construction ---------------------------------------------------
 
-    def _make_basis(self):
-        basis = []
-        if self.case == 1:
-            basis += [("pi", a) for a in range(self.r_an + 1)]
-        elif self.case == 2:
-            basis += [("pi", a) for a in range(self.r_an)]
-            basis += [("y", b) for b in range(1, self.r_an + 1)]
-        else:
-            basis += [("pi", a) for a in range(self.s + 1)]
-            basis += [("y", b) for b in range(1, self.t)]
-        indices = range(1, self.r + 1)
-        for size in range(1, self.r):
-            for J in itertools.combinations(indices, size):
-                basis.append(("eps", frozenset(J)))
-        return basis
-
-    def _one(self):
-        return Laurent.const(1) if self.formal else Fraction(1)
+    def _check_W(self):
+        if self.W is None or is_zero(self.W):
+            raise ConstructionError("cases 2 and 3 need a nonzero W scalar")
+        if isinstance(self.W, Laurent) != self.formal:
+            raise ConstructionError("L and W must both be formal or both concrete")
 
     def _reduce(self, a, b, J):
         """Reduce pi^a y^b eps_J to (scalar, basis monomial) or None for zero."""
+        if a < 0 or b < 0:
+            raise DomainError("pi and y have no negative powers")
         if J:
             if a or b:
                 return None
-            if len(J) == self.r:
-                # the full eps-product rewrites into pi/y powers
-                if self.case == 1:
-                    sc = self.L * self._one() * (-1) ** (self.r_an + 1)
-                    return None if is_zero(sc) else (sc, ("pi", self.r_an))
-                if self.case == 2:
-                    sc = (self.L * _scalar_inv(self.W)) * (-1) ** (self.r_an + 1)
-                    return None if is_zero(sc) else (sc, ("y", self.r_an))
-                sc = self.L * self._one() * (-1) ** (self.s + 1)
-                return None if is_zero(sc) else (sc, ("pi", self.s))
-            return (self._one(), ("eps", J))
-        if a and b:
-            a, b = 0, a + b
-        if b:
+            mono = ("eps", J)
+        elif b:
             if self.case == 1:
                 raise DomainError("case 1 has no y")
-            if self.case == 2:
-                if b > self.r_an:
-                    return None
-                return (self._one(), ("y", b))
-            if b > self.t:
-                return None
-            if b == self.t:
-                return (self.W * self._one(), ("pi", self.s))
-            return (self._one(), ("y", b))
-        cap = self.r_an if self.case in (1, 2) else self.s
-        if self.case == 2 and a == self.r_an:
-            sc = (self.W + 1) * _scalar_inv(self.W)
-            return (sc, ("y", self.r_an))
-        if a > cap:
-            return None
-        return (self._one(), ("pi", a))
+            mono = ("y", a + b)  # pi*y -> y^2
+        else:
+            mono = ("pi", a)
+        rule = self._rules.get(mono)
+        if rule is not None:
+            return rule
+        return (self._unit, mono) if mono in self.index else None
 
     def _mul_monomials(self, m1, m2):
-        k1, v1 = m1
-        k2, v2 = m2
         a = b = 0
         J = frozenset()
         for kind, val in (m1, m2):
@@ -319,9 +314,7 @@ class WAlgebra:
     def element(self, data):
         coords = {}
         for mono, sc in data.items():
-            if isinstance(mono, str):
-                mono = (mono, 1) if mono in ("pi", "y") else mono
-            idx = self.index[mono]
+            idx = self.index[_monomial(mono)]
             coords[idx] = coords.get(idx, 0) + sc
         return WElement(self, coords)
 
@@ -329,7 +322,7 @@ class WAlgebra:
         return WElement(self, {})
 
     def one(self):
-        return self.element({("pi", 0): self._one()})
+        return self.element({("pi", 0): self._unit})
 
     def _from_entry(self, entry):
         """The element sc * mono of a reduced (sc, mono), None standing for zero."""
@@ -339,13 +332,9 @@ class WAlgebra:
         return self.element({mono: sc})
 
     def pi(self, power=1):
-        if power == 0:
-            return self.one()
         return self._from_entry(self._reduce(power, 0, frozenset()))
 
     def y(self, power=1):
-        if power == 0:
-            return self.one()
         return self._from_entry(self._reduce(0, power, frozenset()))
 
     def eps(self, *indices):
@@ -393,6 +382,9 @@ class WAlgebra:
                                if _degree(self.basis[i]) <= d})
 
 
+_SCALARS = (int, Fraction, PadicNumber, Laurent)
+
+
 class WElement:
     """Element of a WAlgebra in coordinates over the monomial basis."""
 
@@ -407,15 +399,13 @@ class WElement:
         raise AttributeError("WElement is immutable")
 
     def coefficient(self, mono):
-        if isinstance(mono, str):
-            mono = (mono, 1) if mono in ("pi", "y") else mono
-        return self.coords.get(self.algebra.index[mono], 0)
+        return self.coords.get(self.algebra.index[_monomial(mono)], 0)
 
     def nonzero(self) -> bool:
         return bool(self.coords)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber, Laurent)):
+        if isinstance(other, _SCALARS):
             other = self.algebra.from_scalar(other)
         if not isinstance(other, WElement):
             return NotImplemented
@@ -432,9 +422,7 @@ class WElement:
         return WElement(self.algebra, {i: -c for i, c in self.coords.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber, Laurent)):
-            other = self.algebra.from_scalar(other)
-        if not isinstance(other, WElement):
+        if not isinstance(other, _SCALARS + (WElement,)):
             return NotImplemented
         return self + (-other)
 
@@ -442,7 +430,7 @@ class WElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicNumber, Laurent)):
+        if isinstance(other, _SCALARS):
             return WElement(self.algebra,
                             {i: c * other for i, c in self.coords.items()})
         if not isinstance(other, WElement):
@@ -604,13 +592,10 @@ def _det_identity(o_matrix, l_matrix, alg, gen, lead_gen, n_matrix):
         raise DomainError(f"need {r} x {r} matrices")
     rows = []
     for i in range(r):
-        row = []
         eps_i = alg.eps(i + 1)
-        for j in range(r):
-            entry = gen * l_matrix[i][j] + eps_i * o_matrix[i][j]
-            if n_matrix is not None:
-                entry = entry + n_matrix[i][j]
-            row.append(entry)
+        row = [gen * l_matrix[i][j] + eps_i * o_matrix[i][j] for j in range(r)]
+        if n_matrix is not None:
+            row = [e + n for e, n in zip(row, n_matrix[i])]
         rows.append(row)
     D = det(rows)
     detl = det(l_matrix)

@@ -184,6 +184,15 @@ def test_teichmuller_twist_always_carries_p():
     tw0 = chi.teichmuller_twist(4, 5)  # omega^4 = trivial at p=5
     assert tw0(5) == 0
     assert tw0.modulus % 5 == 0
+    # (disc, p, om_exp, zeros) of each twist
+    def fields(c):
+        return (c.disc, c.p, c.om_exp, c.zeros)
+    # fold: omega_5^2 is the quadratic character mod 5, so chi_-4 omega^2 = chi_-20
+    assert fields(chi.teichmuller_twist(2, 5)) == (-20, None, 0, frozenset())
+    # unfold: 5 divides -15, so chi_-15 = chi_-3 omega_5^2 before the twist
+    chi15 = DirichletCharacter.quadratic(-15)
+    assert fields(chi15.teichmuller_twist(1, 5)) == (-3, 5, 3, frozenset())
+    assert fields(chi15.teichmuller_twist(2, 5)) == (-3, None, 0, frozenset({5}))
 
 
 def test_raise_modulus():
@@ -398,6 +407,19 @@ def test_bernoulli_cache_rejects_corruption(tmp_path):
     path.write_text(json.dumps(data))
     fresh = BernoulliCache(str(path))
     assert fresh.number(8) == bernoulli_number(8)  # recomputed, not poisoned
+    assert fresh.computed_count > 0
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": 1, "entries": [[0, "1/0"]]}',  # zero denominator
+    '{"version": 1, "entries": [[0, 1]]}',      # entry is not a string
+    '[1, 2]',                                   # top level is not an object
+])
+def test_bernoulli_cache_discards_malformed_file(tmp_path, text):
+    path = tmp_path / "bern.json"
+    path.write_text(text)
+    fresh = BernoulliCache(str(path))
+    assert fresh.number(8) == bernoulli_number(8)
     assert fresh.computed_count > 0
 
 

@@ -21,6 +21,28 @@ def test_nu_k_on_T():
         assert nu_k(T, 1).exact_zero or nu_k(T, 1).is_zero_to_precision()
 
 
+def test_nu_k_needs_an_int_weight():
+    T = LambdaElement.variable(5, N=12)
+    for k in (Fraction(2), 2.0, PadicNumber.from_exact(5, 2, 12)):
+        with pytest.raises(DomainError):
+            nu_k(T, k)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_nu_k_declared_precision_is_real(p):
+    # nu_k of a character built at N agrees with the one built at N + 10
+    # to the precision the result declares
+    for x in (2, 3, 4, 6, 10, 12, -1):
+        if x % p == 0:
+            continue
+        for M in (4, 8, 16):
+            for N in (4, 8, 12):
+                lo, hi = epsilon_char(x, p, M, N), epsilon_char(x, p, M, N + 10)
+                for k in (0, 1, 2, 3, -2, p, p + 1):
+                    a, b = nu_k(lo, k), nu_k(hi, k)
+                    assert a.same_to(b, a.precision), (x, M, N, k, a, b)
+
+
 def test_ring_arithmetic():
     p = 5
     T = LambdaElement.variable(p, N=12)

@@ -126,6 +126,20 @@ def test_associate_invariance():
     assert (r1 - r2).is_zero_to_precision()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_regulator_declared_precision_is_real(p):
+    # a regulator asked for at N agrees with the one asked for at N + 10
+    # to N digits, on every d with |d| < 400 in which p splits
+    for d in range(-399, 0):
+        if not is_fundamental_discriminant(d) or kronecker(d, p) != 1:
+            continue
+        for N in (4, 8, 12):
+            a = gross_regulator_rank1(find_p_unit(d, p, N))
+            b = gross_regulator_rank1(find_p_unit(d, p, N + 10))
+            assert a.precision >= N, (d, N, a)
+            assert a.same_to(b, N), (d, N, a, b)
+
+
 def test_regulator_locked_value():
     # the worked rank-1 instance: R_p(-4, 5) pinned to 12 digits
     reg = gross_regulator_rank1(find_p_unit(-4, 5))

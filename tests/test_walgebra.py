@@ -199,6 +199,28 @@ def test_vanishing_L_kills_eps_product_only():
     assert alg.eps(1).nonzero()
 
 
+def test_case2_at_W_minus_1_keeps_the_zero_rewrite():
+    # (W+1)/W = 0 at W = -1: pi^{r_an} still rewrites, to 0 * y^{r_an}, as
+    # a stored table entry rather than a missing one
+    alg = build_W(2, 2, r_an=2, L=L0, W=Fraction(-1))
+    pi = alg.index[("pi", 1)]
+    assert alg.table[pi][pi] == (0, alg.index[("y", 2)])
+    assert not alg.pi(2).nonzero()
+    assert ("pi", 2) not in alg.index
+
+
+def test_zeroth_and_negative_powers():
+    for alg in (build_W(1, 2, r_an=2, L=L0),
+                build_W(2, 2, r_an=2, L=L0, W=W0),
+                build_W(3, 2, s=3, t=2, L=L0, W=W0)):
+        assert alg.pi(0) == alg.one()
+        assert alg.y(0) == alg.one()  # also in case 1, which has no y
+        with pytest.raises(DomainError):
+            alg.pi(-1)
+        with pytest.raises(DomainError):
+            alg.y(-1)
+
+
 def test_case1_has_no_y():
     alg = build_W(1, 1, r_an=1, L=L0)
     with pytest.raises(DomainError):
