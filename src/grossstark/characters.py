@@ -13,8 +13,10 @@ the character is real, and PadicNumbers otherwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -256,7 +258,10 @@ class BernoulliCache:
 
     The JSON file is revalidated on load against the defining recursion
     sum_{j=0}^{n} C(n+1, j) B_j = 0; invalid or wrong-version files are
-    discarded silently (and recomputed), never trusted.
+    discarded silently (and recomputed), never trusted.  save() writes the
+    file only when the table holds entries the file lacks: after a fill, or
+    when the file was missing or discarded.  A table that a run served
+    without change is not written again.
     """
 
     VERSION = 1
@@ -265,6 +270,7 @@ class BernoulliCache:
         self.path = path
         self._table = [Fraction(1)]
         self.computed_count = 0
+        self._on_disk = 0  # entries in the file, as last loaded or saved
         if path and os.path.exists(path):
             self._load(path)
 
@@ -284,18 +290,20 @@ class BernoulliCache:
             if not _bernoulli_table_valid(table):
                 return
             self._table = table
+            self._on_disk = len(table)
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
                 ZeroDivisionError):
             return
 
     def save(self):
-        if not self.path:
+        if not self.path or self._on_disk == len(self._table):
             return
         entries = [[n, f"{b.numerator}/{b.denominator}"] for n, b in enumerate(self._table)]
         tmp = self.path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump({"version": self.VERSION, "entries": entries}, fh)
         os.replace(tmp, self.path)
+        self._on_disk = len(self._table)
 
     def number(self, n: int) -> Fraction:
         """B_n; a missing stretch of the table is filled up to n in one pass."""
@@ -344,14 +352,21 @@ def _bernoulli_table_valid(table, start=1):
     """sum_{j=0}^{n} C(n+1, j) B_j = 0 for every n >= start, on integer numerators.
 
     Scaling the table by the LCM of its denominators keeps the test exact
-    and spares a Fraction normalization per term.
+    and spares a Fraction normalization per term.  Zero entries (B_j for
+    odd j > 1 in a true table) add nothing to any row and are left out;
+    a nonzero entry at any index is kept.
     """
     if not table or table[0] != 1:
         return False
     lcm = math.lcm(*(b.denominator for b in table))
-    nums = [b.numerator * (lcm // b.denominator) for b in table]
-    for n in range(start, len(nums)):
-        if sum(math.comb(n + 1, j) * nums[j] for j in range(n + 1)) != 0:
+    js = [j for j, b in enumerate(table) if b]
+    nums = [table[j].numerator * (lcm // table[j].denominator) for j in js]
+    k = 0  # the number of nonzero j <= n
+    for n in range(start, len(table)):
+        while k < len(js) and js[k] <= n:
+            k += 1
+        if sum(map(operator.mul, map(math.comb, itertools.repeat(n + 1),
+                                     js[:k]), nums)) != 0:
             return False
     return True
 

@@ -21,16 +21,23 @@ The sum over a runs on plain integers modulo p^M, M = W + K + 2, with K
 taken at the highest order among the evaluation points:
 
 - The coefficients d_j = jet(binom(1-s-delta, j)) B_j F^j depend only on s
-  and j.  They are built once per point as exact Fractions, scaled by p^K
-  and reduced mod p^M.  K = 1 covers the p in the denominator of B_j
-  (von Staudt-Clausen; v_p(F^j/j!) >= 0 covers the rest), plus
-  v_p(order!) for the exp-jets below; a value that is still not
-  p-integral raises ConsistencyError.
+  and j.  The scaled Bernoulli row u_j = p B_j F^j / j! is the same for
+  every point, so it is built once per call, one exact Fraction per j,
+  and reduced mod p^M; each point multiplies its own integer binomial
+  polynomial (kept mod p^M) by u_j.  The factor p covers the p in the
+  denominator of B_j (von Staudt-Clausen; v_p(F^j/j!) >= 0 covers the
+  rest), and v_p(order!) more digits are kept for the exp-jets below,
+  K = 1 + v_p(order!) in all.  A u_j that is not p-integral raises
+  ConsistencyError while a point builds its rows: every product of a
+  p-integral u_j with an integer is p-integral.
 - For each a the inner sum over j is a Horner loop in a^-2 over the even
   j, plus the single odd term d_1 a^-1 (B_j = 0 for odd j > 1).
 - One exponent rule serves integer and p-adic s alike: <a> generates a
-  subgroup of (1 + pZ)/p^M of order dividing p^(M-1), so
-  <a>^(1-s) = pow(<a>, (1-s) mod p^(M-1), p^M).
+  subgroup of (1 + pZ)/p^M of order dividing p^(M-1), so <a>^(1-s) may
+  use any e = 1-s mod p^(M-1); the engine takes the e of least absolute
+  value.  A negative e is raised on <a>^-1 = a^-1 omega(a), built only
+  when some point needs it: s = p^m costs a (p^m - 1)-th power instead
+  of one by a residue of about M digits, and s <= 0 a (1-s)-th power.
 - exp(-delta log<a>) contributes (-log<a>)^t / t!; the loop multiplies by
   order!/t! instead and divides by order! once after the loop.
 - One call takes every evaluation point (s, order) that a public function
@@ -50,7 +57,7 @@ from .characters import DirichletCharacter, bernoulli_number, gen_bernoulli
 from .errors import (ConsistencyError, DomainError, PoleError,
                      UnsupportedPoleError)
 from .padic import (PadicNumber, angle_bracket, is_prime, is_zero, plog,
-                    v_p)
+                    teichmuller_lift, v_p)
 
 _MARGIN = 8
 
@@ -170,27 +177,42 @@ def _smallest_prime_factors(n: int) -> list:
     return spf
 
 
-def _binomial_jets(sigma: int, F: int, bern: list, order: int, p: int,
-                   pm: int) -> list:
-    """Row j: p^_HEADROOM d_j[i] mod pm for i = 0..order (module docstring)."""
-    rows = []
-    poly = [1] + [0] * order  # prod_{k<j} (1 - sigma - k - delta), truncated
-    scale = Fraction(p ** _HEADROOM)  # p^_HEADROOM F^j / j!
+def _scaled_bernoulli(F: int, bern: list, p: int, pm: int) -> list:
+    """u_j = p^_HEADROOM B_j F^j / j! mod pm, or None where u_j is not p-integral.
+
+    The row is shared by every evaluation point of a series call.
+    """
+    out = []
+    num, den = p ** _HEADROOM, 1  # p^_HEADROOM F^j and j!
     for j, b in enumerate(bern):
         if j:
+            num *= F
+            den *= j
+        u = Fraction(num * b.numerator, den * b.denominator)
+        out.append(None if u.denominator % p == 0
+                   else u.numerator * pow(u.denominator, -1, pm) % pm)
+    return out
+
+
+def _binomial_jets(sigma: int, scaled: list, order: int, p: int,
+                   pm: int) -> list:
+    """Row j: p^_HEADROOM d_j[i] mod pm for i = 0..order (module docstring).
+
+    scaled is the row of u_j from _scaled_bernoulli; the integer binomial
+    polynomial is kept mod pm, so each entry is one product with u_j.
+    """
+    rows = []
+    poly = [1] + [0] * order  # prod_{k<j} (1 - sigma - k - delta), truncated
+    for j, u in enumerate(scaled):
+        if j:
             c = 1 - sigma - (j - 1)
-            poly = [poly[0] * c] + [poly[i] * c - poly[i - 1]
-                                    for i in range(1, order + 1)]
-            scale = scale * F / j
-        row = []
-        for x in poly:
-            y = scale * b * x
-            if y.denominator % p == 0:
-                raise ConsistencyError(
-                    f"binomial jet coefficient j={j} (order {order}) is not "
-                    f"{p}-integral after scaling by {p}^{_HEADROOM}")
-            row.append(y.numerator * pow(y.denominator, -1, pm) % pm)
-        rows.append(row)
+            poly = [poly[0] * c % pm] + [(poly[i] * c - poly[i - 1]) % pm
+                                         for i in range(1, order + 1)]
+        if u is None:
+            raise ConsistencyError(
+                f"binomial jet coefficient j={j} (order {order}) is not "
+                f"{p}-integral after scaling by {p}^{_HEADROOM}")
+        rows.append([x * u % pm for x in poly])
     return rows
 
 
@@ -236,26 +258,33 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
     jmax = 2 * W + 10
     bernoulli_number(jmax)  # fills a cold table in one pass
     bern = [bernoulli_number(j) for j in range(jmax + 1)]
+    scaled = _scaled_bernoulli(F, bern, p, pm)
+    q = p ** (M - 1)  # the order of <a> divides q
     passes = []
     for (sigma, _), (_, order) in zip(sigmas, points):
-        d = _binomial_jets(sigma, F, bern, order, p, pm)
+        d = _binomial_jets(sigma, scaled, order, p, pm)
         fact = math.factorial(order)
+        exponent = (1 - sigma) % q
         passes.append((range(order + 1),
                        [_horner(d[0::2], i) for i in range(order + 1)],
                        d[1],  # the one odd row: B_j = 0 for odd j > 1
                        [fact // math.factorial(t) for t in range(order + 1)],
-                       (1 - sigma) % p ** (M - 1)))
+                       exponent if exponent <= q // 2 else exponent - q))
+    signed = any(exponent < 0 for *_, exponent in passes)
     units, rows = [], []
     for a in range(1, F + 1):
         cv = psi(a, M)
         if is_zero(cv):
             continue
         c = cv.residue(M) if isinstance(cv, PadicNumber) else int(cv) % pm
+        inv = pow(a, -1, pm)
+        # <a>^-1 = a^-1 omega(a), for the points with a negative exponent
+        ang_inv = inv * teichmuller_lift(a % p, p, M) % pm if signed else 0
         units.append(a)
-        rows.append((c, angle_bracket(a, p, M).residue(M), pow(a, -1, pm)))
+        rows.append((c, angle_bracket(a, p, M).residue(M), ang_inv, inv))
     logs = _logs(units, p, M) if top else [0] * len(rows)
     totals = [[0] * len(ords) for ords, *_ in passes]
-    for (c, ang, inv), lam in zip(rows, logs):
+    for (c, ang, ang_inv, inv), lam in zip(rows, logs):
         inv2 = inv * inv % pm
         for (ords, even, d1, falling, exponent), total in zip(passes, totals):
             inner = []
@@ -265,7 +294,10 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
                     acc = (acc * inv2 + e) % pm
                 inner.append(acc + inv * d1[i])
             # <a>^{1-s-delta} = <a>^{1-s} exp(-delta log<a>), times order!
-            w = c * pow(ang, exponent, pm) % pm
+            if exponent >= 0:
+                w = c * pow(ang, exponent, pm) % pm
+            else:
+                w = c * pow(ang_inv, -exponent, pm) % pm
             ajet = []
             for t in ords:
                 ajet.append(w * falling[t])

@@ -1,6 +1,7 @@
 """Kronecker symbols, character canonicalization, generalized Bernoulli numbers."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb, prod
@@ -230,6 +231,34 @@ def test_bernoulli_recursion_oracle():
     for n in range(1, 121):
         total = sum(Fraction(comb(n + 1, j)) * table[j] for j in range(n + 1))
         assert total == 0, n
+
+
+def _oracle_table_valid(table, start=1):
+    """The all-terms check: every j <= n in every row, zero entries included."""
+    if not table or table[0] != 1:
+        return False
+    lcm = math.lcm(*(b.denominator for b in table))
+    nums = [b.numerator * (lcm // b.denominator) for b in table]
+    for n in range(start, len(nums)):
+        if sum(comb(n + 1, j) * nums[j] for j in range(n + 1)) != 0:
+            return False
+    return True
+
+
+def test_bernoulli_check_skipping_zeros_matches_the_oracle():
+    # the true table and every single-entry perturbation of it, including a
+    # nonzero odd entry (B_3 = 1/7, B_1 = +1/2) and a zeroed even one
+    true = [BernoulliCache().number(n) for n in range(121)]
+    assert characters._bernoulli_table_valid(true)
+    assert _oracle_table_valid(true)
+    for n in range(121):
+        for bad in {true[n] + 1, true[n] + Fraction(1, 7), -true[n],
+                    Fraction(0), Fraction(1, 7)} - {true[n]}:
+            table = true[:n] + [bad] + true[n + 1:]
+            for start in (1, 60):
+                assert (characters._bernoulli_table_valid(table, start)
+                        == _oracle_table_valid(table, start)), (n, bad, start)
+            assert not characters._bernoulli_table_valid(table), (n, bad)
 
 
 def test_bernoulli_table_known_values():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from grossstark.characters import BernoulliCache, bernoulli_number
 from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, ReportBuilder,
                             RunConfig, UsageError, main)
 from grossstark.errors import (ConstructionError, DegenerateInstanceError,
@@ -311,6 +312,66 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(["lambda", "--p", "5", "--prec", "6"], capsys)
     assert code == 0
     assert (cache / "bernoulli.json").exists()
+
+
+def _interp(cache, prec):
+    return ["interp", "--p", "5", "--disc", "-4", "--prec", str(prec),
+            "--cache", str(cache)]
+
+
+def _replaces(monkeypatch):
+    """Record every os.replace onto a cache file, still making it."""
+    calls, real = [], os.replace
+
+    def recorded(src, dst):
+        calls.append(dst)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    return calls
+
+
+def test_warm_run_leaves_the_cache_file_untouched(capsys, tmp_path,
+                                                  monkeypatch):
+    cache = tmp_path / "cache"
+    path = cache / "bernoulli.json"
+    assert run(_interp(cache, 12), capsys)[0] == 0
+    before = path.stat()
+    replaces = _replaces(monkeypatch)
+    assert run(_interp(cache, 8), capsys)[0] == 0
+    after = path.stat()
+    assert replaces == []
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+
+
+def test_run_that_extends_the_table_rewrites_the_cache(capsys, tmp_path,
+                                                       monkeypatch):
+    cache = tmp_path / "cache"
+    path = cache / "bernoulli.json"
+    assert run(_interp(cache, 8), capsys)[0] == 0
+    short = len(json.loads(path.read_text())["entries"])
+    replaces = _replaces(monkeypatch)
+    assert run(_interp(cache, 12), capsys)[0] == 0
+    assert replaces == [str(path)]
+    assert len(json.loads(path.read_text())["entries"]) > short
+
+
+def test_discarded_cache_file_is_rewritten_valid(capsys, tmp_path):
+    # a tampered file of the full length is discarded on load, so the run
+    # must write the recomputed table even though its length is unchanged
+    cache = tmp_path / "cache"
+    path = cache / "bernoulli.json"
+    assert run(_interp(cache, 8), capsys)[0] == 0
+    data = json.loads(path.read_text())
+    data["entries"][2][1] = "9999/7"
+    path.write_text(json.dumps(data))
+    assert run(_interp(cache, 8), capsys)[0] == 0
+    reloaded = BernoulliCache(str(path))
+    n = len(data["entries"]) - 1
+    assert reloaded.number(n) == bernoulli_number(n)
+    assert reloaded.computed_count == 0
+    assert json.loads(path.read_text())["entries"][2][1] == "1/6"
 
 
 def test_report_schema(capsys, tmp_path):

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 import grossstark.lfunctions as lfunctions
-from grossstark.characters import DirichletCharacter
+from grossstark.characters import DirichletCharacter, bernoulli_number
 from grossstark.cli import main
 from grossstark.errors import (ConsistencyError, DomainError, PoleError,
                                UnsupportedPoleError)
 from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
                                    classical_L_at_nonpositive, kubota_leopoldt,
                                    lp_derivative_at_0, lstar, order_probe)
-from grossstark.padic import PadicNumber, angle_bracket, plog
+from grossstark.padic import PadicNumber, angle_bracket, plog, v_p
 
 
 def chi(d):
@@ -351,3 +351,108 @@ def test_series_jets_points_match_single_calls():
     together = lfunctions._series_jets(chi(-20), p, W, points)
     alone = [lfunctions._series_jets(chi(-20), p, W, [pt])[0] for pt in points]
     assert together == alone
+
+
+# -- oracles: Fraction rows per point, <a>^(1-s) by its residue exponent -----
+
+def _oracle_binomial_jets(sigma, F, bern, order, p, pm):
+    """Row j: p d_j[i] mod pm, each entry one exact Fraction p B_j F^j/j! x."""
+    rows = []
+    poly = [1] + [0] * order
+    scale = Fraction(p)
+    for j, b in enumerate(bern):
+        if j:
+            c = 1 - sigma - (j - 1)
+            poly = [poly[0] * c] + [poly[i] * c - poly[i - 1]
+                                    for i in range(1, order + 1)]
+            scale = scale * F / j
+        row = []
+        for x in poly:
+            y = scale * b * x
+            assert y.denominator % p, (j, order)
+            row.append(y.numerator * pow(y.denominator, -1, pm) % pm)
+        rows.append(row)
+    return rows
+
+
+def _oracle_series_jets(chi_, p, W, points):
+    """Each point on its own: every row j, every a, plain powers and plog."""
+    psi = chi_.teichmuller_twist(1, p)
+    top = max(order for _, order in points)
+    M = W + 1 + v_p(math.factorial(top), p) + 2
+    pm, F = p ** M, psi.modulus
+    bern = [bernoulli_number(j) for j in range(2 * W + 11)]
+    units = [a for a in range(1, F + 1) if math.gcd(a, F) == 1]
+    out = []
+    for s, order in points:
+        if isinstance(s, PadicNumber):
+            eff = min(W, s.precision)
+            sigma, good_to = s.residue(eff), min(W - 4, eff)
+        else:
+            sigma, good_to = s, W - 4
+        d = _oracle_binomial_jets(sigma, F, bern, order, p, pm)
+        fact = math.factorial(order)
+        total = [0] * (order + 1)
+        for a in units:
+            c = psi(a, M)
+            c = c.residue(M) if isinstance(c, PadicNumber) else int(c) % pm
+            ang = angle_bracket(a, p, M)
+            lam = plog(ang).residue(M)
+            inv = pow(a, -1, pm)
+            inner = [sum(row[i] * pow(inv, j, pm) for j, row in enumerate(d))
+                     for i in range(order + 1)]
+            w = c * pow(ang.residue(M), (1 - sigma) % p ** (M - 1), pm)
+            ajet = [w * (fact // math.factorial(t)) * (-lam) ** t
+                    for t in range(order + 1)]
+            for i in range(order + 1):
+                total[i] += sum(ajet[t] * inner[i - t] for t in range(i + 1))
+        K = 1 + v_p(fact, p)
+        unit_inv = pow(fact // p ** v_p(fact, p), -1, pm)
+        scaled = [Fraction(x * unit_inv % pm, p ** K) for x in total]
+        pref = [Fraction((-1) ** i, F * (sigma - 1) ** (i + 1))
+                for i in range(order + 1)]
+        out.append(([sum(scaled[t] * pref[i - t] for t in range(i + 1))
+                     for i in range(order + 1)], good_to))
+    return out
+
+
+ORACLE_PRIMES = [(3, -4), (5, -4), (7, -3), (13, -4)]
+
+
+def _oracle_points(p, W):
+    # exponents (1 - s) mod p^(M-1) on both sides of p^(M-1)/2: s = 0 and
+    # negative s take the short positive one, s = p^m and every p-adic s
+    # in pZ_p (residues p, p^W - p and that of 5p/2) the short negative one
+    padic = [PadicNumber.from_exact(p, x, W + 3)
+             for x in (p, -p, Fraction(5 * p, 2))]
+    return ([(0, 1)] + [(p ** m, 0) for m in (2, 3, 4)]
+            + [(-1, 0), (-4, 2), (0, 3)] + [(s, 1) for s in padic])
+
+
+@pytest.mark.parametrize("p,d", ORACLE_PRIMES)
+def test_binomial_jets_match_the_fraction_oracle(p, d):
+    # the shared scaled-Bernoulli row times each point's integer polynomial
+    # gives the rows the per-point Fractions gave, at every order 0..3
+    W = 12
+    F = chi(d).teichmuller_twist(1, p).modulus
+    bern = [bernoulli_number(j) for j in range(2 * W + 11)]
+    for order in range(4):
+        pm = p ** (W + 1 + v_p(math.factorial(order), p) + 2)
+        scaled = lfunctions._scaled_bernoulli(F, bern, p, pm)
+        for s, _ in _oracle_points(p, W):
+            sigma = s.residue(W) if isinstance(s, PadicNumber) else s
+            assert (lfunctions._binomial_jets(sigma, scaled, order, p, pm)
+                    == _oracle_binomial_jets(sigma, F, bern, order, p, pm)), \
+                (order, s)
+
+
+@pytest.mark.parametrize("p,d", ORACLE_PRIMES)
+def test_series_jets_match_the_oracle(p, d):
+    W = 12
+    points = _oracle_points(p, W)
+    four = points[:4]
+    assert (lfunctions._series_jets(chi(d), p, W, four)
+            == _oracle_series_jets(chi(d), p, W, four))
+    for pt in points[4:]:
+        assert (lfunctions._series_jets(chi(d), p, W, [pt])
+                == _oracle_series_jets(chi(d), p, W, [pt])), pt
