@@ -173,19 +173,27 @@ class DirichletCharacter:
 
     # -- evaluation ---------------------------------------------------
 
-    def __call__(self, a: int, prec: int | None = None):
-        """chi(a): exact Fraction when the character is real, else PadicNumber."""
+    def residue(self, a: int, prec: int | None = None) -> int:
+        """chi(a) as an int, the one place a character value is computed: 0
+        off the units, else +-1 for a real character (prec is ignored), else
+        kronecker(disc, a) omega(a)^om_exp mod p^prec."""
         if math.gcd(a, self.modulus) != 1:
-            return Fraction(0)
+            return 0
         k = kronecker(self.disc, a)
         if self.om_exp == 0:
-            return Fraction(k)
+            return k
         if prec is None:
             raise PrecisionError("character value is p-adic; a precision is required")
         # omega(a)^om_exp = omega(a^om_exp mod p)
         p = self.p
-        unit = teichmuller_lift(pow(a, self.om_exp, p), p, prec)
-        return PadicNumber(p, 0, k * unit, prec)
+        return k * teichmuller_lift(pow(a, self.om_exp, p), p, prec) % p ** prec
+
+    def __call__(self, a: int, prec: int | None = None):
+        """chi(a): Fraction(residue) if real or a is not a unit, else a PadicNumber."""
+        r = self.residue(a, prec)
+        if self.om_exp == 0 or r == 0:
+            return Fraction(r)
+        return PadicNumber(self.p, 0, r, prec)
 
     # -- operations ---------------------------------------------------
 
@@ -398,7 +406,8 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int | None = None):
     raised characters automatically yield Euler-factor-deleted values.
     Expanding B_n(x) = sum_j C(n, j) B_j x^(n-j) turns it into
     sum_j C(n, j) B_j f^(j-1) S_{n-j} with the power sums
-    S_k = sum_{a=1}^{f} chi(a) a^k (Washington, Cyclotomic Fields, Prop. 4.1).
+    S_k = sum_{a=1}^{f} chi(a) a^k (Washington, Cyclotomic Fields, Prop. 4.1),
+    summed on `residue` ints; a p-adic sum is declared to min prec + v_p(coef).
     The trivial modulus-1 character returns the plain Bernoulli number, with
     the classical B_1 = -1/2 (documented convention; the n=1, f=1 sum would
     give +1/2).
@@ -411,27 +420,15 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int | None = None):
     bernoulli_number(n)  # fills a cold table in one pass
     coeffs = [math.comb(n, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
               for j in range(n + 1)]
-    sums = [0] * (n + 1)
-    if chi.is_rational:
-        for a in range(1, f + 1):
-            c = int(chi(a))
-            for k in range(n + 1):
-                sums[k] += c
-                c *= a
-        return sum(coef * sums[n - j] for j, coef in enumerate(coeffs))
-    if prec is None:
+    if not chi.is_rational and prec is None:
         raise PrecisionError("character is p-adic valued; a precision is required")
-    p, pm = chi.p, chi.p ** prec
+    sums = [0] * (n + 1)
     for a in range(1, f + 1):
-        c = chi(a, prec)
-        if isinstance(c, Fraction):
-            continue  # a shares a prime with the modulus
-        c = c.residue(prec)
+        c = chi.residue(a, prec)
         for k in range(n + 1):
             sums[k] += c
-            c = c * a % pm
-    total = PadicNumber.zero(p)
-    for j, coef in enumerate(coeffs):
-        if coef:
-            total = total + PadicNumber(p, 0, sums[n - j], prec) * coef
-    return total
+            c *= a
+    if chi.is_rational:
+        return sum(coef * sums[n - j] for j, coef in enumerate(coeffs))
+    return sum((PadicNumber(chi.p, 0, sums[n - j], prec) * coef
+                for j, coef in enumerate(coeffs) if coef), PadicNumber.zero(chi.p))

@@ -77,6 +77,9 @@ class RunConfig:
                     f"disc {d} is not a negative fundamental discriminant")
         if self.command in ("interp", "gross-stark", "hecke") and not self.discs:
             raise UsageError(f"'{self.command}' needs at least one --disc")
+        folder = os.path.dirname(self.json_path or "") or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"cannot write the report: no directory {folder}")
 
     @property
     def conclusive(self) -> bool:

@@ -56,7 +56,7 @@ from fractions import Fraction
 from .characters import DirichletCharacter, bernoulli_number, gen_bernoulli
 from .errors import (ConsistencyError, DomainError, PoleError,
                      UnsupportedPoleError)
-from .padic import (PadicNumber, angle_bracket, is_prime, is_zero, plog,
+from .padic import (PadicNumber, angle_bracket, is_prime, plog,
                     teichmuller_lift, v_p)
 
 _MARGIN = 8
@@ -195,11 +195,12 @@ def _scaled_bernoulli(F: int, bern: list, p: int, pm: int) -> list:
 
 
 def _binomial_jets(sigma: int, scaled: list, order: int, p: int,
-                   pm: int) -> list:
-    """Row j: p^_HEADROOM d_j[i] mod pm for i = 0..order (module docstring).
+                   pm: int) -> tuple:
+    """Rows j = 0, 2, 4, ... and row 1 of p^_HEADROOM d_j[i] mod pm, i = 0..order.
 
     scaled is the row of u_j from _scaled_bernoulli; the integer binomial
-    polynomial is kept mod pm, so each entry is one product with u_j.
+    polynomial is kept mod pm, so each entry is one product with u_j.  The
+    odd rows j > 1 (u_j = 0) are not built, but every u_j is checked.
     """
     rows = []
     poly = [1] + [0] * order  # prod_{k<j} (1 - sigma - k - delta), truncated
@@ -212,8 +213,9 @@ def _binomial_jets(sigma: int, scaled: list, order: int, p: int,
             raise ConsistencyError(
                 f"binomial jet coefficient j={j} (order {order}) is not "
                 f"{p}-integral after scaling by {p}^{_HEADROOM}")
-        rows.append([x * u % pm for x in poly])
-    return rows
+        if j % 2 == 0 or j == 1:
+            rows.append([x * u % pm for x in poly])
+    return rows[:1] + rows[2:], rows[1]
 
 
 def _horner(rows: list, i: int) -> list:
@@ -262,21 +264,20 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
     q = p ** (M - 1)  # the order of <a> divides q
     passes = []
     for (sigma, _), (_, order) in zip(sigmas, points):
-        d = _binomial_jets(sigma, scaled, order, p, pm)
+        even, d1 = _binomial_jets(sigma, scaled, order, p, pm)
         fact = math.factorial(order)
         exponent = (1 - sigma) % q
         passes.append((range(order + 1),
-                       [_horner(d[0::2], i) for i in range(order + 1)],
-                       d[1],  # the one odd row: B_j = 0 for odd j > 1
+                       [_horner(even, i) for i in range(order + 1)],
+                       d1,  # the one odd row: B_j = 0 for odd j > 1
                        [fact // math.factorial(t) for t in range(order + 1)],
                        exponent if exponent <= q // 2 else exponent - q))
     signed = any(exponent < 0 for *_, exponent in passes)
     units, rows = [], []
     for a in range(1, F + 1):
-        cv = psi(a, M)
-        if is_zero(cv):
+        c = psi.residue(a, M) % pm
+        if not c:
             continue
-        c = cv.residue(M) if isinstance(cv, PadicNumber) else int(cv) % pm
         inv = pow(a, -1, pm)
         # <a>^-1 = a^-1 omega(a), for the points with a negative exponent
         ang_inv = inv * teichmuller_lift(a % p, p, M) % pm if signed else 0

@@ -115,11 +115,11 @@ def eisenstein(k: int, eta: DirichletCharacter, support=(), n_terms: int = 200,
 
     c(n) = sum over divisors d of n coprime to the raised modulus of
     eta(d) d^{k-1}, built by a divisor sieve: for d = 1, 2, ... in turn the
-    character is evaluated once and eta(d) d^{k-1} is added to every
-    multiple of d.  So each c(n) sums its divisors in ascending order, in
-    O(n_terms log n_terms) steps.  A real character is summed on ints and
-    each coefficient made a Fraction at the end; a p-adic one on
-    PadicNumbers.  The constant term is L(eta_raised, 1-k)/2.  The
+    int `residue` is taken once and eta(d) d^{k-1} added to every multiple
+    of d.  So each c(n) sums its divisors in ascending order, in
+    O(n_terms log n_terms) steps, and is made a Fraction at the end, or a
+    PadicNumber at prec (p divides a p-adic modulus, so p ∤ d).  The
+    constant term is L(eta_raised, 1-k)/2.  The
     weight-2 level-one series is not a modular form and is rejected.
     """
     if k < 1:
@@ -131,17 +131,15 @@ def eisenstein(k: int, eta: DirichletCharacter, support=(), n_terms: int = 200,
         raise DomainError("E_2 at level one is not a modular form (exceptional case)")
     c0 = classical_L_at_nonpositive(etaJ, 1 - k, prec) * Fraction(1, 2)
     n = max(n_terms, 0)
-    rational = etaJ.is_rational
-    coeffs = [0 if rational else Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for d in range(1, n + 1):
-        v = etaJ(d, prec)
-        if is_zero(v):
-            continue
-        term = (int(v) if rational else v) * d ** (k - 1)
-        for m in range(d, n + 1, d):
-            coeffs[m] += term
-    if rational:
-        coeffs = [Fraction(c) for c in coeffs]
+        v = etaJ.residue(d, prec)
+        if v:
+            term = v * d ** (k - 1)
+            for m in range(d, n + 1, d):
+                coeffs[m] += term
+    coeffs = [Fraction(c) if etaJ.is_rational else PadicNumber(etaJ.p, 0, c, prec)
+              for c in coeffs]
     coeffs[0] = c0
     return QExpansion(k, etaJ, coeffs, prec)
 

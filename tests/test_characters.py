@@ -177,6 +177,35 @@ def test_padic_values_are_teichmuller_powers():
                             (want.v, want.unit, want.nabs), (p, e, disc, N, a)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_residue_is_the_value_as_an_int(p):
+    # residue is chi(a) as an int: the Kronecker value of a real character,
+    # the residue of a p-adic value at its precision, 0 off the units
+    quad = DirichletCharacter.quadratic(-4)
+    om = DirichletCharacter.teichmuller_power(p)
+    chars = [quad, DirichletCharacter.quadratic(prime_discriminant(p)),
+             quad.raise_modulus({3, p}), om, om.raise_modulus({2}),
+             quad * om, DirichletCharacter.quadratic(-3) * om.inverse(),
+             quad.teichmuller_twist(2, p)]
+    # omega_3 is quadratic, so every character at p = 3 is real
+    assert {chi.is_rational for chi in chars} == {True, p == 3}
+    for chi in chars:
+        for a in range(1, 2 * chi.modulus + 1):
+            if math.gcd(a, chi.modulus) != 1:
+                assert chi.residue(a) == chi.residue(a, 6) == 0, (chi, a)
+                continue
+            if chi.is_rational:
+                assert chi.residue(a) == int(chi(a)) in (1, -1), (chi, a)
+                assert chi.residue(a, 6) == chi.residue(a), (chi, a)
+                continue
+            for N in (1, 6, 12):
+                assert chi.residue(a, N) == chi(a, N).residue(N), (chi, a, N)
+            with pytest.raises(PrecisionError):
+                chi.residue(a)
+            with pytest.raises(DomainError):
+                chi.residue(a, 0)
+
+
 def test_teichmuller_twist_always_carries_p():
     chi = DirichletCharacter.quadratic(-4)
     tw = chi.teichmuller_twist(1, 5)

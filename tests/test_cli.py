@@ -397,8 +397,29 @@ def test_summary_line(capsys):
 
 # -- file errors ----------------------------------------------------------------
 
-def test_report_in_missing_directory_exits_2(capsys, tmp_path):
+def test_report_in_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
+    # the report's directory is checked before the first check runs
+    import grossstark.cli as cli
+
+    def never(config):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setitem(cli.COMMANDS, "gross-stark", never)
     path = tmp_path / "no" / "such" / "r.json"
+    code, out, err = run(["gross-stark", "--p", "5", "--disc", "-4",
+                          "--json", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "cannot write the report" in err
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
+def test_report_that_cannot_be_opened_exits_2_after_the_run(capsys, tmp_path):
+    # the directory exists, so the run goes ahead and the write fails late
+    path = tmp_path / "r.json"
+    path.mkdir()
     code, out, err = run(["lambda", "--p", "5", "--prec", "6",
                           "--json", str(path)], capsys)
     assert code == 2

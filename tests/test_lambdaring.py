@@ -43,6 +43,23 @@ def test_nu_k_declared_precision_is_real(p):
                     assert a.same_to(b, a.precision), (x, M, N, k, a, b)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nu_k_declared_precision_survives_a_longer_truncation(p):
+    # the tail cap (M + 1) v_p(u^{k-1} - 1) is the bound of the discarded
+    # terms: eight more terms of the series agree to the smaller precision
+    for x in (2, 4, 7, 10):
+        if x % p == 0:
+            continue
+        for M in (4, 8, 16):
+            for N in (8, 12):
+                short = epsilon_char(x, p, M, N)
+                long = epsilon_char(x, p, M + 8, N)
+                for k in (2, 3, 5, p, p + 1):
+                    a, b = nu_k(short, k), nu_k(long, k)
+                    to = min(a.precision, b.precision)
+                    assert a.same_to(b, to), (x, M, N, k, a, b)
+
+
 def test_ring_arithmetic():
     p = 5
     T = LambdaElement.variable(p, N=12)

@@ -261,6 +261,24 @@ def test_derivative_fails_when_a_finite_difference_disagrees(monkeypatch,
     assert "p^3" in out
 
 
+def test_derivative_tolerance_is_min_of_m_minus_1_and_3(monkeypatch):
+    # L_p(p^3) moved by p^4 moves its finite difference by p: valuation 1,
+    # below the min(m - 1, 3) = 2 digits the check asks for at m = 3
+    engine = lfunctions._series_jets
+
+    def perturbed(chi, p, W, points):
+        out = engine(chi, p, W, points)
+        return [([c[0] + p ** 4] + c[1:] if s == p ** 3 else c, good_to)
+                for (s, _), (c, good_to) in zip(points, out)]
+
+    monkeypatch.setattr(lfunctions, "_series_jets", perturbed)
+    inst = LSeriesInstance(5, chi(-4), 12)
+    for fn in (lp_derivative_at_0, analytic_invariant):
+        with pytest.raises(ConsistencyError,
+                           match=r"at p\^3 .*\(valuation 1\)"):
+            fn(inst)
+
+
 @pytest.mark.parametrize("p,d", [(5, -4), (7, -4)])
 def test_analytic_invariant_matches_public_routes(p, d):
     # rank 1 (5 splits in Q(i)) and rank 0 (7 is inert)
@@ -432,7 +450,8 @@ def _oracle_points(p, W):
 @pytest.mark.parametrize("p,d", ORACLE_PRIMES)
 def test_binomial_jets_match_the_fraction_oracle(p, d):
     # the shared scaled-Bernoulli row times each point's integer polynomial
-    # gives the rows the per-point Fractions gave, at every order 0..3
+    # gives the rows the per-point Fractions gave, at every order 0..3; the
+    # odd rows j > 1, which are not built, are zero in the oracle
     W = 12
     F = chi(d).teichmuller_twist(1, p).modulus
     bern = [bernoulli_number(j) for j in range(2 * W + 11)]
@@ -441,9 +460,11 @@ def test_binomial_jets_match_the_fraction_oracle(p, d):
         scaled = lfunctions._scaled_bernoulli(F, bern, p, pm)
         for s, _ in _oracle_points(p, W):
             sigma = s.residue(W) if isinstance(s, PadicNumber) else s
-            assert (lfunctions._binomial_jets(sigma, scaled, order, p, pm)
-                    == _oracle_binomial_jets(sigma, F, bern, order, p, pm)), \
-                (order, s)
+            even, odd = lfunctions._binomial_jets(sigma, scaled, order, p, pm)
+            rows = _oracle_binomial_jets(sigma, F, bern, order, p, pm)
+            assert even == rows[0::2], (order, s)
+            assert odd == rows[1], (order, s)
+            assert not any(any(row) for row in rows[3::2]), (order, s)
 
 
 @pytest.mark.parametrize("p,d", ORACLE_PRIMES)
