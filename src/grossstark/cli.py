@@ -22,7 +22,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 
 from . import __version__
 from .characters import (BernoulliCache, DirichletCharacter,
@@ -31,8 +32,8 @@ from .characters import (BernoulliCache, DirichletCharacter,
 from .errors import (ConsistencyError, ConstructionError,
                      DegenerateInstanceError, DomainError, PrecisionError)
 from .lambdaring import epsilon_char, nu_k, pi_normalize, topological_generator
-from .lfunctions import (LSeriesInstance, analytic_invariant, kubota_leopoldt,
-                         lstar)
+from .lfunctions import (CONCLUSIVE_PRECISION, LSeriesInstance,
+                         analytic_invariant, kubota_leopoldt, lstar)
 from .padic import PadicNumber, angle_bracket, is_prime, is_zero, plog
 from .qexp import eisenstein, hecke_T, verify_up_relation
 from .regulator import find_p_unit, gross_regulator_rank1
@@ -40,16 +41,14 @@ from .walgebra import (Laurent, build_W, case1_det_identity,
                        case2_det_identity, case3_det_identity)
 
 CACHE_ENV = "GROSSSTARK_CACHE"
-DEFAULT_PRIMES = (3, 5, 7)
-CONCLUSIVE_PRECISION = 6
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one verification run."""
+    """Validated parameters of one verification run, with verify's defaults."""
 
     command: str
-    primes: tuple = DEFAULT_PRIMES
+    primes: tuple = (3, 5, 7)
     discs: tuple = ()
     prec: int = 12
     qexp_terms: int = 200
@@ -86,16 +85,10 @@ class RunConfig:
         return self.prec >= CONCLUSIVE_PRECISION
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "primes": list(self.primes),
-            "discs": list(self.discs),
-            "prec": self.prec,
-            "qexp_terms": self.qexp_terms,
-            "lambda_trunc": self.lambda_trunc,
-            "trials": self.trials,
-            "cache_dir": self.cache_dir,
-        }
+        """The fields in order, minus json_path, as the report shows them."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self)
+                  if f.name != "json_path")
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
 class UsageError(Exception):
@@ -110,24 +103,8 @@ class ReportBuilder:
         self.checks = []
         self.warnings = []
 
-    def record(self, check_id, instance, status, discrepancy_valuation=None,
-               ms=None, detail=None, error=None):
-        rec = {
-            "id": check_id,
-            "instance": instance,
-            "status": status,
-            "discrepancy_valuation": discrepancy_valuation,
-            "ms": ms,
-        }
-        if detail is not None:
-            rec["detail"] = detail
-        if error is not None:
-            rec["error"] = error
-        self.checks.append(rec)
-        return rec
-
     def run(self, check_id, instance, fn):
-        """Time fn() -> (status, valuation, detail) and append the record."""
+        """Time fn() -> (status, valuation, detail); record and return it."""
         t0 = time.perf_counter()
         error = None
         try:
@@ -148,7 +125,14 @@ class ReportBuilder:
             self.warnings.append(
                 f"{check_id} {instance}: precision {self.config.prec} < "
                 f"{CONCLUSIVE_PRECISION}, result inconclusive")
-        return self.record(check_id, instance, status, val, ms, detail, error)
+        rec = {"id": check_id, "instance": instance, "status": status,
+               "discrepancy_valuation": val, "ms": ms}
+        if detail is not None:
+            rec["detail"] = detail
+        if error is not None:
+            rec["error"] = error
+        self.checks.append(rec)
+        return rec
 
     def report(self) -> dict:
         meta = {}
@@ -175,16 +159,15 @@ def _valuation(x: PadicNumber):
 
 
 # -- subcommands -----------------------------------------------------------
+# Each subcommand yields (check_id, instance, check) triples, where check()
+# returns (status, valuation, detail); main runs and records each one.
 
 
-def cmd_interp_check(config: RunConfig) -> ReportBuilder:
-    rb = ReportBuilder(config)
+def cmd_interp_check(config: RunConfig):
     for p in config.primes:
         for d in config.discs:
             chi = DirichletCharacter.quadratic(d)
             for n in (0, -1, -2, -3):
-                inst = f"p={p} d={d} n={n}"
-
                 def check(p=p, chi=chi, n=n):
                     instance = LSeriesInstance(p, chi, config.prec)
                     series = kubota_leopoldt(instance, n)
@@ -199,16 +182,12 @@ def cmd_interp_check(config: RunConfig) -> ReportBuilder:
                         return "pass", val, None
                     return "fail", val, f"discrepancy valuation {val} < {target}"
 
-                rb.run("interp", inst, check)
-    return rb
+                yield "interp", f"p={p} d={d} n={n}", check
 
 
-def cmd_gross_stark(config: RunConfig) -> ReportBuilder:
-    rb = ReportBuilder(config)
+def cmd_gross_stark(config: RunConfig):
     for p in config.primes:
         for d in config.discs:
-            inst = f"p={p} d={d}"
-
             def check(p=p, d=d):
                 chi = DirichletCharacter.quadratic(d)
                 if chi(p) != 1:
@@ -232,8 +211,7 @@ def cmd_gross_stark(config: RunConfig) -> ReportBuilder:
                 return ("fail", _valuation(diff),
                         f"discrepancy valuation {diff.valuation} < {target}")
 
-            rb.run("gross-stark", inst, check)
-    return rb
+            yield "gross-stark", f"p={p} d={d}", check
 
 
 def _random_fraction_matrix(rng, r):
@@ -242,29 +220,23 @@ def _random_fraction_matrix(rng, r):
              for _ in range(r)] for _ in range(r)]
 
 
-def cmd_w_algebra(config: RunConfig) -> ReportBuilder:
+def cmd_w_algebra(config: RunConfig):
     import random
     from fractions import Fraction
-    rb = ReportBuilder(config)
     rng = random.Random(20260817)
-    Lc, Wc = Fraction(5, 3), Fraction(2, 7)
-    algebras = {}
 
+    @cache
     def algebra(case, r, mode):
         """The (case, r, scalar mode) algebra, built on first use in this run."""
-        key = (case, r, mode)
-        if key not in algebras:
-            if mode == "concrete":
-                L, W = Lc, Wc
-            else:
-                L, W = Laurent.var_L(), Laurent.var_W()
-            if case == 1:
-                algebras[key] = build_W(1, r, r_an=r, L=L)
-            elif case == 2:
-                algebras[key] = build_W(2, r, r_an=r, L=L, W=W)
-            else:
-                algebras[key] = build_W(3, r, s=r + 1, t=r, L=L, W=W)
-        return algebras[key]
+        if mode == "concrete":
+            L, W = Fraction(5, 3), Fraction(2, 7)
+        else:
+            L, W = Laurent.var_L(), Laurent.var_W()
+        if case == 1:
+            return build_W(1, r, r_an=r, L=L)
+        if case == 2:
+            return build_W(2, r, r_an=r, L=L, W=W)
+        return build_W(3, r, s=r + 1, t=r, L=L, W=W)
 
     for r in (1, 2, 3):
         def dims(r=r):
@@ -274,7 +246,7 @@ def cmd_w_algebra(config: RunConfig) -> ReportBuilder:
                   and a2.dimension == 2 ** r + 2 * r - 2)
             return ("pass" if ok else "fail"), None, \
                 f"dims {a1.dimension}, {a2.dimension}"
-        rb.run("walg-structure", f"r={r}", dims)
+        yield "walg-structure", f"r={r}", dims
 
         for mode in ("concrete", "formal"):
             def idents(r=r, mode=mode):
@@ -297,12 +269,10 @@ def cmd_w_algebra(config: RunConfig) -> ReportBuilder:
                 if a3.y(r) != a3.pi(r + 1) * a3.W:
                     return "fail", None, "y^t != W pi^s"
                 return "pass", None, None
-            rb.run("walg-det", f"r={r} {mode}", idents)
-    return rb
+            yield "walg-det", f"r={r} {mode}", idents
 
 
-def cmd_hecke_check(config: RunConfig) -> ReportBuilder:
-    rb = ReportBuilder(config)
+def cmd_hecke_check(config: RunConfig):
     for p in config.primes:
         for d in config.discs:
             chi = DirichletCharacter.quadratic(d)
@@ -315,7 +285,7 @@ def cmd_hecke_check(config: RunConfig) -> ReportBuilder:
                         f"{rep['checked_coefficients']} coefficients"
                 return "fail", None, f"first discrepancy {rep['first_discrepancy']}"
 
-            rb.run("hecke-up", f"p={p} d={d}", up_check)
+            yield "hecke-up", f"p={p} d={d}", up_check
 
     for d in config.discs:
         chi = DirichletCharacter.quadratic(d)
@@ -336,18 +306,14 @@ def cmd_hecke_check(config: RunConfig) -> ReportBuilder:
                     ell += 1
             return "pass", None, "10 primes"
 
-        rb.run("hecke-eigen", f"d={d}", eigen)
-    return rb
+        yield "hecke-eigen", f"d={d}", eigen
 
 
-def cmd_lambda_check(config: RunConfig) -> ReportBuilder:
-    rb = ReportBuilder(config)
+def cmd_lambda_check(config: RunConfig):
     N, M = config.prec, config.lambda_trunc
     for p in config.primes:
         units = [x for x in range(2, 40) if x % p][:10]
         for x in units:
-            inst = f"p={p} x={x}"
-
             def check(p=p, x=x):
                 h = epsilon_char(x, p, M=M, N=N)
                 worst = None
@@ -362,15 +328,13 @@ def cmd_lambda_check(config: RunConfig) -> ReportBuilder:
                             return "fail", v, f"k={k} valuation {v} < {N - 3}"
                 return "pass", worst, None
 
-            rb.run("lambda-nu", inst, check)
+            yield "lambda-nu", f"p={p} x={x}", check
 
-        def bridge(p=p):
-            x = units[0]
+        def bridge(p=p, x=units[0]):
             h0 = epsilon_char(x, p, M=M, N=N)
             h = h0 - h0.coeff(0)  # vanishes at T = 0
             n, hp = pi_normalize(h)
             lead = hp.coeff(0)  # nu_1 of the normalized series
-            u = topological_generator(p)
             worst = None
             for m in (2, 3):
                 k = 1 + p ** m
@@ -385,8 +349,7 @@ def cmd_lambda_check(config: RunConfig) -> ReportBuilder:
                         return "fail", v, f"m={m} valuation {v} < {m - 1}"
             return "pass", worst, None
 
-        rb.run("lambda-normalize", f"p={p}", bridge)
-    return rb
+        yield "lambda-normalize", f"p={p}", bridge
 
 
 def _pi_element(p, M, N):
@@ -412,18 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run batches of Gross-Stark verification checks.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--p", type=int, action="append", dest="primes",
-                        help="prime(s) p; default 3 5 7 (repeatable)")
+                        help="prime(s) p; default "
+                        f"{' '.join(map(str, RunConfig.primes))} (repeatable)")
     parser.add_argument("--disc", type=int, action="append", default=[],
                         dest="discs", metavar="D",
                         help="negative fundamental discriminant (repeatable)")
-    parser.add_argument("--prec", type=int, default=12, metavar="N",
-                        help="p-adic working precision (default 12)")
-    parser.add_argument("--qexp-terms", type=int, default=200, metavar="NQ",
-                        help="q-expansion length (default 200)")
-    parser.add_argument("--lambda-trunc", type=int, default=16, metavar="M",
-                        help="Lambda-ring truncation order (default 16)")
-    parser.add_argument("--trials", type=int, default=100, metavar="K",
-                        help="random matrix trials for w-algebra (default 100)")
+    parser.add_argument("--prec", type=int, default=RunConfig.prec,
+                        metavar="N",
+                        help="p-adic working precision (default %(default)s)")
+    parser.add_argument("--qexp-terms", type=int, default=RunConfig.qexp_terms,
+                        metavar="NQ",
+                        help="q-expansion length (default %(default)s)")
+    parser.add_argument("--lambda-trunc", type=int,
+                        default=RunConfig.lambda_trunc, metavar="M",
+                        help="Lambda-ring truncation order "
+                        "(default %(default)s)")
+    parser.add_argument("--trials", type=int, default=RunConfig.trials,
+                        metavar="K", help="random matrix trials for w-algebra "
+                        "(default %(default)s)")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
                         help="write the JSON report to PATH")
     parser.add_argument("--cache", dest="cache_dir", metavar="DIR",
@@ -438,17 +407,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    config = RunConfig(
-        command=args.command,
-        primes=tuple(args.primes) if args.primes else DEFAULT_PRIMES,
-        discs=tuple(args.discs),
-        prec=args.prec,
-        qexp_terms=args.qexp_terms,
-        lambda_trunc=args.lambda_trunc,
-        trials=args.trials,
-        json_path=args.json_path,
-        cache_dir=cache_dir,
-    )
+    config = RunConfig(**{**vars(args), "cache_dir": cache_dir,
+                          "primes": tuple(args.primes or RunConfig.primes),
+                          "discs": tuple(args.discs)})
     try:
         config.validate()
     except UsageError as exc:
@@ -465,8 +426,10 @@ def main(argv=None) -> int:
         cache = BernoulliCache(os.path.join(cache_dir, "bernoulli.json"))
         set_shared_cache(cache)
     errors = []
+    rb = ReportBuilder(config)
     try:
-        rb = COMMANDS[config.command](config)
+        for check_id, instance, check in COMMANDS[config.command](config):
+            rb.run(check_id, instance, check)
         report = rb.report()
     finally:
         if cache is not None:

@@ -60,6 +60,7 @@ from .padic import (PadicNumber, angle_bracket, is_prime, plog,
                     teichmuller_lift, v_p)
 
 _MARGIN = 8
+CONCLUSIVE_PRECISION = 6  # below this N no pass or fail is conclusive
 
 
 @dataclass(frozen=True)
@@ -380,8 +381,8 @@ def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
 
     Reports the largest j <= max_r such that the Taylor coefficients below j
     all vanish to working tolerance (N - 2 digits).  This witnesses
-    ord >= j; it never proves vanishing.  With N < 6 the report declines to
-    draw a conclusive line.
+    ord >= j; it never proves vanishing.  With N < CONCLUSIVE_PRECISION the
+    report declines to draw a conclusive line.
     """
     if instance.N < 2:
         return _probe(instance, None)
@@ -410,7 +411,7 @@ def _probe(instance: LSeriesInstance, jets) -> dict:
         "order_lower_bound": bound,
         "coefficient_valuations": vals,
         "precision": N,
-        "conclusive": N >= 6 and any(v < tol for v in vals),
+        "conclusive": N >= CONCLUSIVE_PRECISION and any(v < tol for v in vals),
         "note": "lower-bound witness only; vanishing is precision-bounded",
     }
 

@@ -61,15 +61,26 @@ def test_kronecker_multiplicativity():
         assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
 
+def _squarefree(m):
+    return m != 0 and all(m % (k * k) for k in range(2, math.isqrt(abs(m)) + 1))
+
+
+def _fundamental_oracle(d):
+    """d = 1; or d = 1 mod 4 squarefree; or d = 4m, m = 2, 3 mod 4 squarefree."""
+    if d == 1:
+        return True
+    if d % 4 == 1:
+        return _squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and _squarefree(d // 4)
+
+
 def test_fundamental_discriminants():
     fundamentals = {1, -3, -4, 5, -7, 8, -8, -11, 12, 13, -15, -19, -20,
-                    21, -23, -24, 24, 28, -31, 33}
+                    21, -23, -24, 24, 28, -31, 33, -40, -39, -35, 17, 29, 37,
+                    40}
     for d in range(-40, 41):
-        expect = d in fundamentals or (
-            d != 0 and is_fundamental_discriminant(d))
-        # spot check the curated list
-        if d in fundamentals:
-            assert is_fundamental_discriminant(d), d
+        assert is_fundamental_discriminant(d) == _fundamental_oracle(d), d
+        assert is_fundamental_discriminant(d) == (d in fundamentals), d
     for d in (0, 2, 3, -2, -5, -9, -12, -16, 16, 25):
         assert not is_fundamental_discriminant(d), d
 

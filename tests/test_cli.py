@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from grossstark import __version__
 from grossstark.characters import BernoulliCache, bernoulli_number
 from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, ReportBuilder,
                             RunConfig, UsageError, main)
@@ -243,6 +244,142 @@ def test_hecke_run(capsys, tmp_path):
     report = json.loads(report_path.read_text())
     ids = {c["id"] for c in report["checks"]}
     assert ids == {"hecke-up", "hecke-eigen"}
+
+
+# -- golden transcripts ----------------------------------------------------------
+
+LAMBDA_XS = ("2", "3", "4", "6", "7", "8", "9", "11", "12", "13")
+
+GOLDEN = {
+    "interp": (
+        ["interp", "--p", "5", "--disc", "-4", "--prec", "8"], 0,
+        """\
+[        pass] interp p=5 d=-4 n=0
+[        pass] interp p=5 d=-4 n=-1
+[        pass] interp p=5 d=-4 n=-2
+[        pass] interp p=5 d=-4 n=-3
+4 checks: 4 pass
+""", "",
+        {"primes": [5], "discs": [-4], "prec": 8},
+        [("interp", "p=5 d=-4 n=0", "pass"),
+         ("interp", "p=5 d=-4 n=-1", "pass"),
+         ("interp", "p=5 d=-4 n=-2", "pass"),
+         ("interp", "p=5 d=-4 n=-3", "pass")], []),
+    "gross-stark": (
+        ["gross-stark", "--p", "5", "--p", "7", "--disc", "-4", "--disc", "-3",
+         "--prec", "10"], 1,
+        """\
+[        pass] gross-stark p=5 d=-4 valuation=10
+[       error] gross-stark p=5 d=-3 (p = 5 is not split in Q(sqrt(-3)): chi(5) = -1)
+[       error] gross-stark p=7 d=-4 (p = 7 is not split in Q(sqrt(-4)): chi(7) = -1)
+[        pass] gross-stark p=7 d=-3 valuation=10
+4 checks: 2 error, 2 pass
+""", "",
+        {"primes": [5, 7], "discs": [-4, -3], "prec": 10},
+        [("gross-stark", "p=5 d=-4", "pass", 10),
+         ("gross-stark", "p=5 d=-3", "error", None,
+          "p = 5 is not split in Q(sqrt(-3)): chi(5) = -1", "DomainError"),
+         ("gross-stark", "p=7 d=-4", "error", None,
+          "p = 7 is not split in Q(sqrt(-4)): chi(7) = -1", "DomainError"),
+         ("gross-stark", "p=7 d=-3", "pass", 10)], []),
+    "hecke": (
+        ["hecke", "--p", "5", "--disc", "-4", "--qexp-terms", "40"], 0,
+        """\
+[        pass] hecke-up p=5 d=-4 (9 coefficients)
+[        pass] hecke-eigen d=-4 (10 primes)
+2 checks: 2 pass
+""", "",
+        {"primes": [5], "discs": [-4], "qexp_terms": 40},
+        [("hecke-up", "p=5 d=-4", "pass", None, "9 coefficients"),
+         ("hecke-eigen", "d=-4", "pass", None, "10 primes")], []),
+    "lambda": (
+        ["lambda", "--p", "5", "--prec", "5"], 0,
+        """\
+[inconclusive] lambda-nu p=5 x=2
+[inconclusive] lambda-nu p=5 x=3
+[inconclusive] lambda-nu p=5 x=4
+[inconclusive] lambda-nu p=5 x=6
+[inconclusive] lambda-nu p=5 x=7
+[inconclusive] lambda-nu p=5 x=8
+[inconclusive] lambda-nu p=5 x=9
+[inconclusive] lambda-nu p=5 x=11
+[inconclusive] lambda-nu p=5 x=12
+[inconclusive] lambda-nu p=5 x=13
+[inconclusive] lambda-normalize p=5
+11 checks: 11 inconclusive
+""", """\
+warning: lambda-nu p=5 x=2: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=3: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=4: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=6: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=7: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=8: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=9: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=11: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=12: precision 5 < 6, result inconclusive
+warning: lambda-nu p=5 x=13: precision 5 < 6, result inconclusive
+warning: lambda-normalize p=5: precision 5 < 6, result inconclusive
+""",
+        {"primes": [5], "prec": 5},
+        [("lambda-nu", f"p=5 x={x}", "inconclusive") for x in LAMBDA_XS]
+        + [("lambda-normalize", "p=5", "inconclusive")],
+        [f"lambda-nu p=5 x={x}: precision 5 < 6, result inconclusive"
+         for x in LAMBDA_XS]
+        + ["lambda-normalize p=5: precision 5 < 6, result inconclusive"]),
+    "w-algebra": (
+        ["w-algebra", "--trials", "2"], 0,
+        """\
+[        pass] walg-structure r=1 (dims 2, 2)
+[        pass] walg-det r=1 concrete
+[        pass] walg-det r=1 formal
+[        pass] walg-structure r=2 (dims 5, 6)
+[        pass] walg-det r=2 concrete
+[        pass] walg-det r=2 formal
+[        pass] walg-structure r=3 (dims 10, 12)
+[        pass] walg-det r=3 concrete
+[        pass] walg-det r=3 formal
+9 checks: 9 pass
+""", "",
+        {"trials": 2},
+        [row for r, dims in ((1, "2, 2"), (2, "5, 6"), (3, "10, 12"))
+         for row in (("walg-structure", f"r={r}", "pass", None, f"dims {dims}"),
+                     ("walg-det", f"r={r} concrete", "pass"),
+                     ("walg-det", f"r={r} formal", "pass"))], []),
+}
+
+
+def _golden_record(check_id, instance, status, val=None, detail=None,
+                   error=None):
+    rec = {"id": check_id, "instance": instance, "status": status,
+           "discrepancy_valuation": val}
+    if detail is not None:
+        rec["detail"] = detail
+    if error is not None:
+        rec["error"] = error
+    return rec
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_transcript(name, capsys, tmp_path, monkeypatch):
+    # exit code, stdout, stderr and the report (minus ms) of one run of each
+    # subcommand, key order included, pinned as the verifier prints them
+    argv, code, out, err, config, rows, warnings = GOLDEN[name]
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    path = tmp_path / "r.json"
+    assert run(argv + ["--json", str(path)], capsys) == (code, out, err)
+    report = json.loads(path.read_text())
+    for check in report["checks"]:
+        del check["ms"]
+    want_config = {"command": argv[0], "primes": [3, 5, 7], "discs": [],
+                   "prec": 12, "qexp_terms": 200, "lambda_trunc": 16,
+                   "trials": 100, "cache_dir": None}
+    want_config.update(config)
+    assert list(report) == ["version", "config", "checks", "warnings"]
+    assert list(report["config"].items()) == list(want_config.items())
+    assert [list(c.items()) for c in report["checks"]] == \
+        [list(_golden_record(*row).items()) for row in rows]
+    assert report["warnings"] == warnings
+    assert report["version"] == __version__
 
 
 # -- precision gate ---------------------------------------------------------------

@@ -1,0 +1,106 @@
+"""Mutation smoke: every listed one-line source mutant must fail tier-1.
+
+    python3 tools/mutants.py
+
+The tree (src/, tests/, pyproject.toml) is copied to a temporary directory;
+the working tree is never written.  Tier-1 must pass on the unmutated copy
+first.  Then, for each mutant, the original line must occur exactly once in
+its file; the mutant replaces it, tier-1 runs on the copy, and the file is
+restored.  A mutant survives when tier-1 still passes under it.
+
+Exit codes: 0 when every mutant is killed, 1 when any survives, 2 when the
+unmutated copy fails tier-1 or a mutant's original line no longer occurs
+exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+# (file under src/grossstark, original line, mutant line, what the mutant does)
+MUTANTS = [
+    ("lfunctions.py",
+     "            sigmas.append((int(s), W - 4))\n",
+     "            sigmas.append((int(s), W - 1))\n",
+     "claim 3 more digits for an integer s"),
+    ("lfunctions.py",
+     "    jmax = 2 * W + 10\n",
+     "    jmax = W + 2\n",
+     "cut the Bernoulli tail of the series engine"),
+    ("lfunctions.py",
+     "_MARGIN = 8\n",
+     "_MARGIN = 5\n",
+     "shrink the working-precision margin"),
+    ("characters.py",
+     "            if not _bernoulli_table_valid(table):\n",
+     "            if False:\n",
+     "skip the recursion check on a loaded Bernoulli cache"),
+    ("lambdaring.py",
+     "    cap = (h.M + 1) * v0\n",
+     "    cap = (h.M + 3) * v0\n",
+     "loosen the nu_k tail cap"),
+    ("lfunctions.py",
+     "    check_to = min(instance.N, 3)\n",
+     "    check_to = min(instance.N, 1)\n",
+     "loosen the finite-difference tolerance"),
+    ("cli.py",
+     '        if status in ("pass", "fail") and not self.config.conclusive:\n',
+     "        if False:\n",
+     "drop the low-precision downgrade to inconclusive"),
+]
+
+
+def tier1(tree: Path) -> bool:
+    """True when tier-1 passes on tree (a timeout counts as a failure)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")  # no stale bytecode after a mutant
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="grossstark-mutants-") as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        if not tier1(tree):
+            print("tier-1 fails on the unmutated tree", file=sys.stderr)
+            return 2
+        survivors = 0
+        for filename, original, mutant, what in MUTANTS:
+            path = tree / "src" / "grossstark" / filename
+            text = path.read_text()
+            if text.count(original) != 1:
+                print(f"{filename}: the line {original.strip()!r} occurs "
+                      f"{text.count(original)} times, not once",
+                      file=sys.stderr)
+                return 2
+            path.write_text(text.replace(original, mutant))
+            try:
+                survived = tier1(tree)
+            finally:
+                path.write_text(text)
+            survivors += survived
+            print(f"{'SURVIVED' if survived else 'killed':>8}  "
+                  f"{filename}: {what}")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
