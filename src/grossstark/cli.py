@@ -60,7 +60,7 @@ class RunConfig:
     def validate(self):
         if self.prec <= 0:
             raise UsageError(f"precision must be positive, got {self.prec}")
-        if self.qexp_terms < 4 * max(self.primes):
+        if self.command == "hecke" and self.qexp_terms < 4 * max(self.primes):
             raise UsageError(
                 f"qexp-terms must be at least 4p = {4 * max(self.primes)}")
         if self.lambda_trunc < 1:

@@ -44,28 +44,23 @@ class PadicNumber:
     def __init__(self, p, v, unit, nabs, exact_zero=False):
         if p < 3 or not is_prime(p):
             raise DomainError(f"p must be an odd prime, got {p}")
-        object.__setattr__(self, "p", p)
         if exact_zero:
-            object.__setattr__(self, "v", 0)
-            object.__setattr__(self, "unit", 0)
-            object.__setattr__(self, "nabs", None)
-            object.__setattr__(self, "exact_zero", True)
-            return
-        rel = nabs - v
-        if rel <= 0:
+            v, unit, nabs = 0, 0, None
+        elif nabs <= v:
             v, unit = nabs, 0
         else:
-            unit %= p ** rel
+            unit %= p ** (nabs - v)
             if unit == 0:
                 v = nabs
             else:
                 while unit % p == 0:
                     unit //= p
                     v += 1
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "nabs", nabs)
-        object.__setattr__(self, "exact_zero", False)
+        object.__setattr__(self, "exact_zero", exact_zero)
 
     def __setattr__(self, name, value):
         raise AttributeError("PadicNumber is immutable")
@@ -82,14 +77,9 @@ class PadicNumber:
         x = Fraction(x)
         if x == 0:
             return cls.zero(p)
-        v = v_p(x, p)
-        rel = nabs - v
-        if rel <= 0:
-            return cls(p, nabs, 0, nabs)
-        num = x.numerator // p ** max(v_p(x.numerator, p), 0)
-        den = x.denominator // p ** max(v_p(x.denominator, p), 0)
-        unit = num * pow(den, -1, p ** rel) % p ** rel
-        return cls(p, v, unit, nabs)
+        d = v_p(x.denominator, p)
+        inv = pow(x.denominator // p ** d, -1, p ** max(nabs + d, 0))
+        return cls(p, -d, x.numerator * inv, nabs)
 
     # -- inspection ---------------------------------------------------
 
@@ -241,12 +231,11 @@ class PadicNumber:
             if self.exact_zero:
                 return PadicNumber.from_exact(self.p, 1, 1)
             return PadicNumber.from_exact(self.p, 1, max(self.nabs - self.v, 1))
-        result = self
-        for bit in bin(k)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        if self.exact_zero:
+            return self
+        # the product rule keeps the relative precision rel at every step
+        p, v, rel = self.p, self.v, self.nabs - self.v
+        return PadicNumber(p, k * v, pow(self.unit, k, p ** rel), k * v + rel)
 
 
 def is_zero(x) -> bool:
@@ -260,16 +249,11 @@ _PRIMES_SEEN = set()
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; primes already seen are remembered."""
+    """Primality by `factorize`; primes already seen are remembered."""
     if n in _PRIMES_SEEN:
         return True
-    if n < 2 or (n % 2 == 0 and n != 2):
+    if n < 2 or factorize(n) != [(n, 1)]:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
     _PRIMES_SEEN.add(n)
     return True
 

@@ -317,7 +317,8 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
             wcoeff = ratio * (classical_L_at_nonpositive(chi.inverse(), 0, wprec)
                               / lp_inv)
         om_part = DirichletCharacter.teichmuller_power(p, (1 - k) % (p - 1))
-        extra = eisenstein_two_char(k, chi, om_part, n_q, pr(om_part))
+        # a precision as soon as either character is p-adic
+        extra = eisenstein_two_char(k, chi, om_part, n_q, pr(chi) or pr(om_part))
         F = main - eisenstein(1, chi, (), n_q, pr(chi)) * G * ratio + extra * wcoeff
     c0 = F.coeff(0)
     if not is_zero(c0):

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from grossstark import __version__
+from grossstark import __version__, cli
 from grossstark.characters import BernoulliCache, bernoulli_number
 from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, ReportBuilder,
                             RunConfig, UsageError, main)
 from grossstark.errors import (ConstructionError, DegenerateInstanceError,
                                DomainError)
+from grossstark.qexp import QExpansion
 from grossstark.walgebra import WAlgebra
 
 
@@ -38,7 +39,10 @@ def test_config_validation_errors():
     with pytest.raises(UsageError):
         RunConfig("interp", prec=0, discs=(-4,)).validate()
     with pytest.raises(UsageError):
-        RunConfig("interp", qexp_terms=10, discs=(-4,)).validate()
+        RunConfig("hecke", qexp_terms=10, discs=(-4,)).validate()
+    for command in ("interp", "gross-stark", "lambda", "w-algebra"):
+        # only hecke reads --qexp-terms, so only hecke bounds it
+        RunConfig(command, qexp_terms=10, discs=(-4,)).validate()
     with pytest.raises(UsageError):
         RunConfig("interp", discs=(-6,)).validate()   # not fundamental
     with pytest.raises(UsageError):
@@ -244,6 +248,180 @@ def test_hecke_run(capsys, tmp_path):
     report = json.loads(report_path.read_text())
     ids = {c["id"] for c in report["checks"]}
     assert ids == {"hecke-up", "hecke-eigen"}
+
+
+def test_qexp_terms_bound_applies_to_hecke_only(capsys):
+    code, out, _ = run(["gross-stark", "--p", "53", "--disc", "-4",
+                        "--prec", "6"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "1 checks: 1 pass")
+    code, _, err = run(["hecke", "--p", "53", "--disc", "-4"], capsys)
+    assert code == 2
+    assert "qexp-terms must be at least 4p = 212" in err
+
+
+# -- fail branches ----------------------------------------------------------------
+# Each check's library call is perturbed by a known amount, so the check must
+# report fail with that valuation and detail, and the run must exit 1.
+
+def fail_run(argv, capsys, tmp_path):
+    report_path = tmp_path / "r.json"
+    code, _, _ = run(argv + ["--json", str(report_path)], capsys)
+    checks = json.loads(report_path.read_text())["checks"]
+    return code, [(c["id"], c["instance"], c["status"],
+                   c["discrepancy_valuation"], c.get("detail"))
+                  for c in checks]
+
+
+@pytest.mark.parametrize("shift, status, val, detail", [
+    (5, "fail", 5, "discrepancy valuation 5 < 6"),
+    (6, "pass", 6, None),                              # exactly the target
+])
+def test_interp_compares_with_the_exact_route(capsys, tmp_path, monkeypatch,
+                                              shift, status, val, detail):
+    real = cli.lstar
+    monkeypatch.setattr(cli, "lstar",
+                        lambda *a, **kw: real(*a, **kw) + 5 ** shift)
+    code, rows = fail_run(["interp", "--p", "5", "--disc", "-4",
+                           "--prec", "8"], capsys, tmp_path)
+    assert code == (1 if status == "fail" else 0)
+    assert rows == [("interp", f"p=5 d=-4 n={n}", status, val, detail)
+                    for n in (0, -1, -2, -3)]
+
+
+@pytest.mark.parametrize("perturb, status, val, detail", [
+    (lambda reg: reg + 5 ** 7, "fail", 7, "discrepancy valuation 7 < 8"),
+    (lambda reg: reg + 5 ** 8, "pass", 8, None),       # exactly the target
+    (lambda reg: -reg, "fail", 1, "convention flag: pure sign mismatch "
+                                  "between analytic and regulator sides"),
+])
+def test_gross_stark_compares_with_the_regulator(capsys, tmp_path,
+                                                 monkeypatch, perturb, status,
+                                                 val, detail):
+    real = cli.gross_regulator_rank1
+    monkeypatch.setattr(cli, "gross_regulator_rank1",
+                        lambda cert: perturb(real(cert)))
+    code, rows = fail_run(["gross-stark", "--p", "5", "--disc", "-4"],
+                          capsys, tmp_path)
+    assert code == (1 if status == "fail" else 0)
+    assert rows == [("gross-stark", "p=5 d=-4", status, val, detail)]
+
+
+def test_lambda_nu_compares_with_the_angle_bracket(capsys, tmp_path,
+                                                   monkeypatch):
+    # <x> moved by 5^4 moves <x>^(k-1) at k = 2 by exactly 5^4 < 5^(N-3)
+    real = cli.angle_bracket
+    monkeypatch.setattr(cli, "angle_bracket",
+                        lambda x, p, N: real(x, p, N) + 5 ** 4)
+    code, rows = fail_run(["lambda", "--p", "5", "--prec", "8"],
+                          capsys, tmp_path)
+    assert code == 1
+    xs = [x for x in range(2, 40) if x % 5][:10]
+    assert rows == [("lambda-nu", f"p=5 x={x}", "fail", 4, "k=2 valuation 4 < 5")
+                    for x in xs] + [("lambda-normalize", "p=5", "pass",
+                                     rows[-1][3], None)]
+
+
+@pytest.mark.parametrize("shift, m", [(0, 2), (1, 3)])
+def test_lambda_normalize_compares_with_the_leading_term(capsys, tmp_path,
+                                                         monkeypatch, shift, m):
+    # the normalized series' constant term moved by 5^shift: the m = 2 bound
+    # (valuation >= 1) rejects a unit, the m = 3 bound (>= 2) rejects 5^1
+    real = cli.pi_normalize
+
+    def moved(h):
+        n, hp = real(h)
+        return n, hp + 5 ** shift
+
+    monkeypatch.setattr(cli, "pi_normalize", moved)
+    code, rows = fail_run(["lambda", "--p", "5", "--prec", "8"],
+                          capsys, tmp_path)
+    assert code == 1
+    assert rows[-1] == ("lambda-normalize", "p=5", "fail", shift,
+                        f"m={m} valuation {shift} < {m - 1}")
+    assert {row[2] for row in rows[:-1]} == {"pass"}
+
+
+def test_walg_structure_checks_the_dimensions(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(WAlgebra, "dimension",
+                        property(lambda self: len(self.basis) + 1))
+    code, rows = fail_run(["w-algebra", "--trials", "1"], capsys, tmp_path)
+    assert code == 1
+    structure = [row for row in rows if row[0] == "walg-structure"]
+    assert structure == [
+        ("walg-structure", f"r={r}", "fail", None,
+         f"dims {2 ** r + r}, {2 ** r + 2 * r - 1}") for r in (1, 2, 3)]
+
+
+def test_walg_det_checks_each_residue(capsys, tmp_path, monkeypatch):
+    def case2_det_identity(o, lm, alg):
+        return alg.one()
+
+    monkeypatch.setattr(cli, "case2_det_identity", case2_det_identity)
+    code, rows = fail_run(["w-algebra", "--trials", "1"], capsys, tmp_path)
+    assert code == 1
+    assert [row for row in rows if row[0] == "walg-det"] == [
+        ("walg-det", f"r={r} {mode}", "fail", None,
+         "case2_det_identity residue nonzero")
+        for r in (1, 2, 3) for mode in ("concrete", "formal")]
+
+
+@pytest.mark.parametrize("case, least, rs, detail", [
+    (2, 2, (2, 3), "(pi-y)^r != pi^r - y^r"),  # (pi-y)^1 = pi - y always
+    (3, 1, (1, 2, 3), "y^t != W pi^s"),
+])
+def test_walg_det_checks_the_ring_identities(capsys, tmp_path, monkeypatch,
+                                             case, least, rs, detail):
+    # y^power moved by 1 in one case from power `least` on; the determinant
+    # identities, which read y^r too, are stubbed to zero so the ring
+    # identities are reached
+    for n in (1, 2, 3):
+        name = f"case{n}_det_identity"
+        monkeypatch.setattr(cli, name, lambda o, lm, alg: alg.zero())
+    real_y = WAlgebra.y
+
+    def moved_y(self, power=1):
+        y = real_y(self, power)
+        return y + self.one() if self.case == case and power >= least else y
+
+    monkeypatch.setattr(WAlgebra, "y", moved_y)
+    code, rows = fail_run(["w-algebra", "--trials", "1"], capsys, tmp_path)
+    assert code == 1
+    assert [row for row in rows if row[0] == "walg-det"] == [
+        ("walg-det", f"r={r} {mode}", *(("fail", None, detail) if r in rs
+                                        else ("pass", None, None)))
+        for r in (1, 2, 3) for mode in ("concrete", "formal")]
+
+
+def test_hecke_up_reports_the_first_discrepancy(capsys, tmp_path, monkeypatch):
+    real = cli.verify_up_relation
+    monkeypatch.setattr(cli, "verify_up_relation", lambda *a, **kw: {
+        **real(*a, **kw), "pass": False, "first_discrepancy": ("branch2", 4)})
+    code, rows = fail_run(["hecke", "--p", "5", "--disc", "-4"],
+                          capsys, tmp_path)
+    assert code == 1
+    assert rows[0] == ("hecke-up", "p=5 d=-4", "fail", None,
+                       "first discrepancy ('branch2', 4)")
+    assert rows[1][:3] == ("hecke-eigen", "d=-4", "pass")
+
+
+def test_hecke_eigen_reports_the_first_bad_coefficient(capsys, tmp_path,
+                                                       monkeypatch):
+    real = cli.hecke_T
+
+    def moved(ell, form):
+        out = real(ell, form)
+        if ell != 7:
+            return out
+        coeffs = list(out.coeffs)
+        coeffs[5] += 1
+        return QExpansion(out.weight, out.character, coeffs, out.prec)
+
+    monkeypatch.setattr(cli, "hecke_T", moved)
+    code, rows = fail_run(["hecke", "--p", "5", "--disc", "-4"],
+                          capsys, tmp_path)
+    assert code == 1
+    assert rows == [("hecke-up", "p=5 d=-4", "pass", None, rows[0][4]),
+                    ("hecke-eigen", "d=-4", "fail", None, "T_7 at q^5")]
 
 
 # -- golden transcripts ----------------------------------------------------------

@@ -151,6 +151,25 @@ def test_order_probe():
     assert weak["conclusive"] is False
 
 
+@pytest.mark.parametrize("vals, bound, conclusive", [
+    ((10, 9, 0, 0), 1, True),    # N - 2 vanishes, N - 3 does not
+    ((10, 10, 9, 0), 2, True),
+    ((10, 10, 10, 10), 3, False),  # never more than max_r, never conclusive
+    ((9, 10, 10, 10), 0, True),
+])
+def test_order_probe_tolerance_is_n_minus_2(monkeypatch, vals, bound,
+                                            conclusive):
+    # crafted jets with coefficient valuations N - 2 = 10 and N - 3 = 9
+    p, inst = 5, LSeriesInstance(5, chi(-4), 12)
+    jets = [Fraction(3 * p ** v, 7) for v in vals]
+    monkeypatch.setattr(lfunctions, "_series_jets",
+                        lambda *args: [(jets, inst.N + 4)])
+    probe = order_probe(inst)
+    assert probe["coefficient_valuations"] == list(vals)
+    assert probe["order_lower_bound"] == bound
+    assert probe["conclusive"] is conclusive
+
+
 def test_analytic_invariant_rank1():
     inst = LSeriesInstance(5, chi(-4), 12)
     rep = analytic_invariant(inst)

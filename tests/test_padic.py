@@ -118,6 +118,106 @@ def test_pow():
     assert ((a ** -2) * a ** 2).residue(8) == 1
 
 
+# The earlier hand-written from_exact, square-and-multiply ** and
+# trial-division is_prime, kept as oracles for the versions that go through
+# the one normalizing constructor.
+
+def _from_exact_oracle(p, x, nabs):
+    x = Fraction(x)
+    if x == 0:
+        return PadicNumber.zero(p)
+    v = v_p(x, p)
+    rel = nabs - v
+    if rel <= 0:
+        return PadicNumber(p, nabs, 0, nabs)
+    num = x.numerator // p ** max(v_p(x.numerator, p), 0)
+    den = x.denominator // p ** max(v_p(x.denominator, p), 0)
+    return PadicNumber(p, v, num * pow(den, -1, p ** rel) % p ** rel, nabs)
+
+
+def _pow_oracle(x, k):
+    if k < 0:
+        return _pow_oracle(x.inverse(), -k)
+    if k == 0:
+        return x ** 0
+    result = x
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
+
+
+def _is_prime_oracle(n):
+    if n < 2 or (n % 2 == 0 and n != 2):
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _state(x):
+    return (x.p, x.v, x.unit, x.nabs, x.exact_zero)
+
+
+def _outcome(fn, *args):
+    """The state of fn(*args), or the type and message of what it raised."""
+    try:
+        return _state(fn(*args))
+    except (ArithmeticError, DomainError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_from_exact_matches_the_oracle():
+    rng = random.Random(2020)
+    cases = 0
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(60):
+            num = rng.randrange(-p ** 4, p ** 4) * p ** rng.randrange(0, 4)
+            den = rng.randrange(1, p ** 3) * p ** rng.randrange(0, 4)
+            x = Fraction(num, den)
+            for nabs in range(-4, 14):
+                assert _outcome(PadicNumber.from_exact, p, x, nabs) == \
+                    _outcome(_from_exact_oracle, p, x, nabs), (p, x, nabs)
+                cases += 1
+    assert cases == 5 * 60 * 18
+
+
+def _pow_grid(rng, p):
+    """Values with v in -2..3, nabs <= v (O(p^n)) included, and exact zero."""
+    yield PadicNumber.zero(p)
+    for v in range(-2, 4):
+        for nabs in range(v - 2, v + 7):
+            yield PadicNumber(p, v, 0, nabs)
+            for _ in range(2):
+                yield PadicNumber(p, v, rng.randrange(1, p ** 8), nabs)
+
+
+def test_pow_matches_square_and_multiply():
+    rng = random.Random(2021)
+    seen = set()
+    for p in (3, 5, 7, 11):
+        for x in _pow_grid(rng, p):
+            seen.add((x.exact_zero, x.unit == 0, x.v < 0))
+            for k in range(-3, 21):
+                assert _outcome(pow, x, k) == _outcome(_pow_oracle, x, k), \
+                    (x, k)
+    # exact zero, O(p^n), and units of negative and non-negative valuation
+    assert seen >= {(True, True, False), (False, True, False),
+                    (False, False, True), (False, False, False)}
+
+
+def test_is_prime_matches_trial_division(monkeypatch):
+    monkeypatch.setattr(padic, "_PRIMES_SEEN", set())  # no memo hits
+    for n in range(-5, 5000):
+        assert is_prime(n) == _is_prime_oracle(n), n
+    for n in range(2000):  # and again, through the memo
+        assert is_prime(n) == _is_prime_oracle(n), n
+
+
 def test_teichmuller_binding_values():
     # omega(2) at p=5: the 4th root of unity congruent to 2 mod 5
     t = teichmuller(2, 5, 2)

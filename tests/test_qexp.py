@@ -277,6 +277,25 @@ def test_build_Fk_constant_term_vanishes():
     assert F_top.coeff(0) == 0  # rational route: the cancellation is exact
 
 
+def test_build_Fk_p_adic_chi_with_real_twist():
+    # chi odd and not real, omega^(1-k) real: the two-character series still
+    # needs a precision, since chi's values are p-adic
+    cases = []
+    for p in (3, 5, 7, 11, 13):
+        for base in (1, -4):
+            for e in range(p - 1):
+                c = DirichletCharacter(base, p, e)
+                if not c.is_odd or c.inverse() == c:
+                    continue
+                for k in range(2, 8):
+                    om = DirichletCharacter.teichmuller_power(p, 1 - k)
+                    if om.inverse() == om:
+                        cases.append((k, c, p))
+    assert len(cases) == 32
+    for k, c, p in cases:
+        assert c0_vanishes(build_Fk(k, c, p, n_q=4 * p)), (k, c, p)
+
+
 def test_build_Fk_rejects_weight_one():
     with pytest.raises(DomainError):
         build_Fk(1, chi(-4), 5)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from grossstark import regulator
-from grossstark.characters import is_fundamental_discriminant, kronecker
+from grossstark.characters import (DirichletCharacter,
+                                   is_fundamental_discriminant, kronecker)
 from grossstark.errors import ConsistencyError, DomainError, RamifiedError
+from grossstark.lfunctions import classical_L_at_nonpositive
 from grossstark.padic import PadicNumber, hensel_sqrt
 from grossstark.regulator import (PUnitCertificate, class_number, find_p_unit,
                                   gross_regulator_general,
@@ -53,6 +55,17 @@ def test_class_number_known_values():
     for d in (0, 5, -1, -6):
         with pytest.raises(DomainError):
             class_number(d)
+
+
+def test_class_number_formula():
+    # Dirichlet: h(d) = (w/2) L(chi_d, 0), the regulator layer's reduced
+    # forms against the characters layer's generalized Bernoulli number
+    discs = [d for d in range(-999, -2) if is_fundamental_discriminant(d)]
+    assert len(discs) == 305
+    for d in discs:
+        w = {-3: 6, -4: 4}.get(d, 2)
+        L0 = classical_L_at_nonpositive(DirichletCharacter.quadratic(d), 0)
+        assert class_number(d) == Fraction(w, 2) * L0, d
 
 
 def test_p_unit_order_divides_class_number():
