@@ -316,9 +316,9 @@ def test_lambda_nu_compares_with_the_angle_bracket(capsys, tmp_path,
                           capsys, tmp_path)
     assert code == 1
     xs = [x for x in range(2, 40) if x % 5][:10]
-    assert rows == [("lambda-nu", f"p=5 x={x}", "fail", 4, "k=2 valuation 4 < 5")
-                    for x in xs] + [("lambda-normalize", "p=5", "pass",
-                                     rows[-1][3], None)]
+    assert rows[:-1] == [("lambda-nu", f"p=5 x={x}", "fail", 4,
+                          "k=2 valuation 4 < 5") for x in xs]
+    assert rows[-1][:3] == ("lambda-normalize", "p=5", "pass")
 
 
 @pytest.mark.parametrize("shift, m", [(0, 2), (1, 3)])
@@ -420,8 +420,8 @@ def test_hecke_eigen_reports_the_first_bad_coefficient(capsys, tmp_path,
     code, rows = fail_run(["hecke", "--p", "5", "--disc", "-4"],
                           capsys, tmp_path)
     assert code == 1
-    assert rows == [("hecke-up", "p=5 d=-4", "pass", None, rows[0][4]),
-                    ("hecke-eigen", "d=-4", "fail", None, "T_7 at q^5")]
+    assert rows[0][:3] == ("hecke-up", "p=5 d=-4", "pass")
+    assert rows[1] == ("hecke-eigen", "d=-4", "fail", None, "T_7 at q^5")
 
 
 # -- golden transcripts ----------------------------------------------------------
