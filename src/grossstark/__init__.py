@@ -17,7 +17,8 @@ from .errors import (ConsistencyError, ConstructionError,
                      IndeterminateOrderError, NoRootError, PoleError,
                      PrecisionError, RamifiedError, UnsupportedPoleError)
 from .lambdaring import (DEFAULT_TRUNCATION, LambdaElement, epsilon_char,
-                         nu_k, pi_normalize, topological_generator)
+                         nu_k, pi_normalize, topological_generator,
+                         uniformizer)
 from .lfunctions import (LpReport, LSeriesInstance, analytic_invariant,
                          classical_L_at_nonpositive, kubota_leopoldt,
                          lp_derivative_at_0, lstar, order_probe)
@@ -44,7 +45,7 @@ __all__ = [
     "PrecisionError", "RamifiedError", "UnsupportedPoleError",
     # lambda ring
     "DEFAULT_TRUNCATION", "LambdaElement", "epsilon_char", "nu_k",
-    "pi_normalize", "topological_generator",
+    "pi_normalize", "topological_generator", "uniformizer",
     # L-functions
     "LpReport", "LSeriesInstance", "analytic_invariant",
     "classical_L_at_nonpositive", "kubota_leopoldt", "lp_derivative_at_0",

@@ -201,7 +201,9 @@ class DirichletCharacter:
         return DirichletCharacter(
             self.disc, self.p, self.om_exp, self.zeros | frozenset(primes))
 
-    def product(self, other: "DirichletCharacter") -> "DirichletCharacter":
+    def __mul__(self, other):
+        if not isinstance(other, DirichletCharacter):
+            return NotImplemented
         p = self.p or other.p
         if self.p and other.p and self.p != other.p:
             raise DomainError("characters live at different primes")
@@ -214,22 +216,17 @@ class DirichletCharacter:
             om = (om + self.om_exp + other.om_exp) % (p - 1)
         return DirichletCharacter(D0, p, om, self.zeros | other.zeros | extra)
 
-    def __mul__(self, other):
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return self.product(other)
-
     def inverse(self) -> "DirichletCharacter":
         if self.om_exp == 0:
             return self
         return DirichletCharacter(
             self.disc, self.p, (-self.om_exp) % (self.p - 1), self.zeros)
 
-    def teichmuller_twist(self, j: int, p: int | None = None) -> "DirichletCharacter":
-        """chi * omega^j, with the result's modulus always divisible by p."""
-        p = self.p or p
-        if p is None:
-            raise DomainError("no prime attached; pass p explicitly")
+    def teichmuller_twist(self, j: int, p: int) -> "DirichletCharacter":
+        """chi * omega_p^j, with the result's modulus always divisible by p."""
+        if self.p not in (None, p):
+            raise DomainError(f"chi carries omega_{self.p}; it cannot be "
+                              f"twisted by omega_{p}")
         return (self * DirichletCharacter.teichmuller_power(p, j)).raise_modulus({p})
 
 

@@ -31,16 +31,19 @@ from .characters import (BernoulliCache, DirichletCharacter,
                          shared_cache)
 from .errors import (ConsistencyError, ConstructionError,
                      DegenerateInstanceError, DomainError, PrecisionError)
-from .lambdaring import epsilon_char, nu_k, pi_normalize, topological_generator
+from .lambdaring import epsilon_char, nu_k, pi_normalize, uniformizer
 from .lfunctions import (CONCLUSIVE_PRECISION, LSeriesInstance,
                          analytic_invariant, kubota_leopoldt, lstar)
-from .padic import PadicNumber, angle_bracket, is_prime, is_zero, plog
+from .padic import PadicNumber, angle_bracket, is_prime, is_zero
 from .qexp import eisenstein, hecke_T, verify_up_relation
-from .regulator import find_p_unit, gross_regulator_rank1
+from .regulator import class_number, find_p_unit, gross_regulator_rank1
 from .walgebra import (Laurent, build_W, case1_det_identity,
                        case2_det_identity, case3_det_identity)
 
 CACHE_ENV = "GROSSSTARK_CACHE"
+# the largest --p accepted: trial division proves any p up to here prime in
+# at most 160 steps, and gross-stark near it already runs for minutes
+MAX_P = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ class RunConfig:
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
         for p in self.primes:
+            if p > MAX_P:
+                raise UsageError(f"p = {p} is above MAX_P = {MAX_P}")
             if p < 3 or not is_prime(p):
                 raise UsageError(f"p must be an odd prime, got {p}")
         for d in self.discs:
@@ -197,7 +202,14 @@ def cmd_gross_stark(config: RunConfig):
                 # takes seconds: search first
                 cert = find_p_unit(d, p, N=config.prec)
                 instance = LSeriesInstance(p, chi, config.prec)
-                lan = analytic_invariant(instance).l_an
+                rep = analytic_invariant(instance)
+                # Dirichlet's class number formula h(d) = (w/2) L(chi_d, 0)
+                h, half_w = class_number(d), {-3: 3, -4: 2}.get(d, 1)
+                if h != half_w * rep.classical_value:
+                    raise ConsistencyError(
+                        f"class number formula fails: h({d}) = {h}, "
+                        f"(w/2) L(chi, 0) = {half_w * rep.classical_value}")
+                lan = rep.l_an
                 reg = gross_regulator_rank1(cert)
                 diff = lan - reg
                 target = config.prec - 4
@@ -339,7 +351,7 @@ def cmd_lambda_check(config: RunConfig):
             for m in (2, 3):
                 k = 1 + p ** m
                 num = nu_k(h, k)
-                den = nu_k(_pi_element(p, M, num.precision + 4), k) ** n
+                den = nu_k(uniformizer(p, M, num.precision + 4), k) ** n
                 fd = num * den.inverse()
                 diff = fd - lead
                 if not diff.is_zero_to_precision():
@@ -350,14 +362,6 @@ def cmd_lambda_check(config: RunConfig):
             return "pass", worst, None
 
         yield "lambda-normalize", f"p={p}", bridge
-
-
-def _pi_element(p, M, N):
-    """The uniformizer pi = T / plog(u) as a LambdaElement."""
-    from .lambdaring import LambdaElement
-    u = topological_generator(p)
-    inv_log = plog(PadicNumber.from_exact(p, u, N + 4)).inverse()
-    return LambdaElement(p, [PadicNumber.zero(p), inv_log], M)
 
 
 COMMANDS = {

@@ -27,6 +27,11 @@ def topological_generator(p: int) -> int:
     return 1 + p
 
 
+def _log_u(p: int, N: int) -> PadicNumber:
+    """log_p(u) for the topological generator u, from u known to N digits."""
+    return plog(PadicNumber.from_exact(p, topological_generator(p), N))
+
+
 class LambdaElement:
     """Polynomial in T of degree <= M with PadicNumber coefficients."""
 
@@ -162,8 +167,7 @@ def epsilon_char(x, p: int, M: int = DEFAULT_TRUNCATION, N: int = 12) -> LambdaE
         xv = PadicNumber.from_exact(p, x, W)
     if xv.valuation != 0:
         raise DomainError("epsilon_char needs a p-adic unit")
-    u = topological_generator(p)
-    alpha = plog(xv) / plog(PadicNumber.from_exact(p, u, W))
+    alpha = plog(xv) / _log_u(p, W)
     coeffs = [PadicNumber.from_exact(p, 1, W)]
     b = coeffs[0]
     for i in range(1, M + 1):
@@ -183,8 +187,8 @@ def pi_normalize(h: LambdaElement):
     Returns (n, h').  n is the index of the first coefficient that does not
     vanish to its precision, and h' absorbs the (log_p u)^n scaling so that
     nu_1(h') equals the leading Taylor coefficient of k -> nu_k(h) at k = 1.
-    The top n coefficients of h' are unknown (exact zeros as placeholders);
-    callers only rely on the low-degree part.
+    h' is truncated at degree M - n: its higher coefficients would come
+    from the terms of h beyond T^M, which are unknown.
     """
     n = None
     for i, c in enumerate(h.coeffs):
@@ -195,7 +199,11 @@ def pi_normalize(h: LambdaElement):
         raise IndeterminateOrderError(
             "all coefficients vanish to precision; pi-order indeterminate")
     prec = max(int(c.precision) for c in h.coeffs if not c.exact_zero)
-    lug = plog(PadicNumber.from_exact(h.p, topological_generator(h.p), prec + 4))
-    scale = lug ** n
+    scale = _log_u(h.p, prec + 4) ** n
     shifted = [c * scale for c in h.coeffs[n:]]
-    return n, LambdaElement(h.p, shifted, h.M)
+    return n, LambdaElement(h.p, shifted, h.M - n)
+
+
+def uniformizer(p: int, M: int, N: int) -> LambdaElement:
+    """pi = T / log_p(u) at truncation M, with log_p(u) worked from N + 4 digits."""
+    return LambdaElement(p, [PadicNumber.zero(p), _log_u(p, N + 4).inverse()], M)

@@ -114,10 +114,6 @@ class LpReport:
     r_an_lower_bound: int
     precision: int
 
-    @property
-    def has_exceptional_zero(self) -> bool:
-        return self.r >= 1
-
 
 # -- exact side ---------------------------------------------------------
 
@@ -338,18 +334,28 @@ def kubota_leopoldt(instance: LSeriesInstance, s=0) -> PadicNumber:
     return _declared(instance.p, jets[0], min(instance.N, good_to))
 
 
-def _derivative_inputs(instance: LSeriesInstance):
-    """The s = 0 jets to order 1 and L_p(p^m) for each finite-difference m.
+def _s0_jets(instance: LSeriesInstance):
+    """The s = 0 jets to order 1, and L_p'(0) checked by finite differences.
 
-    One series call serves all four points.  The integer point s = 0 keeps
-    W - 4 = N + 4 good digits, so both jets may be declared at the
-    instance's precision N.
+    One series call serves s = 0 and the points s = p^m.  The integer point
+    s = 0 keeps W - 4 = N + 4 good digits, so both jets may be declared at
+    the instance's precision N.  Each (L_p(p^m) - L_p(0))/p^m must agree
+    with the termwise derivative to within O(p^(m-1)); disagreement raises
+    ConsistencyError.  Returns (jets, d1) with d1 declared at N.
     """
     p = instance.p
     points = [(0, 1)] + [(p ** m, 0) for m in _FD_EXPONENTS]
     (jets, _), *rest = _series_jets(instance.chi, p, instance.N + _MARGIN,
                                    points)
-    return jets, [coeffs[0] for coeffs, _ in rest]
+    d1 = jets[1]
+    check_to = min(instance.N, 3)
+    for m, (values, _) in zip(_FD_EXPONENTS, rest):
+        fd = (values[0] - jets[0]) / p ** m
+        if v_p(fd - d1, p) < min(m - 1, check_to):
+            raise ConsistencyError(
+                f"finite difference at p^{m} disagrees with the "
+                f"termwise derivative (valuation {v_p(fd - d1, p)})")
+    return jets, _declared(p, d1, instance.N)
 
 
 def lp_derivative_at_0(instance: LSeriesInstance) -> PadicNumber:
@@ -359,21 +365,7 @@ def lp_derivative_at_0(instance: LSeriesInstance) -> PadicNumber:
     (L_p(p^m) - L_p(0))/p^m for m = 2, 3, 4, which must agree to within
     O(p^(m-1)); disagreement raises ConsistencyError.
     """
-    return _checked_derivative(instance, *_derivative_inputs(instance))
-
-
-def _checked_derivative(instance: LSeriesInstance, jets,
-                        values) -> PadicNumber:
-    """jets[1], checked against the finite differences of values = L_p(p^m)."""
-    p, d1 = instance.p, jets[1]
-    check_to = min(instance.N, 3)
-    for m, lm in zip(_FD_EXPONENTS, values):
-        fd = (lm - jets[0]) / p ** m
-        if v_p(fd - d1, p) < min(m - 1, check_to):
-            raise ConsistencyError(
-                f"finite difference at p^{m} disagrees with the "
-                f"termwise derivative (valuation {v_p(fd - d1, p)})")
-    return _declared(p, d1, instance.N)
+    return _s0_jets(instance)[1]
 
 
 def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
@@ -384,8 +376,6 @@ def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
     ord >= j; it never proves vanishing.  With N < CONCLUSIVE_PRECISION the
     report declines to draw a conclusive line.
     """
-    if instance.N < 2:
-        return _probe(instance, None)
     [(jets, _)] = _series_jets(instance.chi, instance.p,
                                instance.N + _MARGIN, [(0, max_r)])
     return _probe(instance, jets)
@@ -423,10 +413,9 @@ def analytic_invariant(instance: LSeriesInstance) -> LpReport:
     r = 0 it reduces to L_p(0) over the classical value times the surviving
     Euler factor, which the interpolation property forces to be 1.
     """
-    jets, values = _derivative_inputs(instance)
+    jets, d1 = _s0_jets(instance)
     L0 = _declared(instance.p, jets[0], instance.N)
     classic = classical_L_at_nonpositive(instance.chi, 0)
-    d1 = _checked_derivative(instance, jets, values)
     if instance.r == 1:
         lan = d1 / classic
     else:

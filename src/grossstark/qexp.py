@@ -261,8 +261,7 @@ def hida_surrogate(k: int, p: int, n_q: int, prec: int | None = None) -> QExpans
     if is_zero(c0):
         raise DegenerateInstanceError(
             "weight-%d Eisenstein constant term vanishes; surrogate undefined" % k)
-    inv = 1 / c0 if isinstance(c0, Fraction) else c0.inverse()
-    return g * inv
+    return g * (1 / c0)
 
 
 def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,

@@ -62,13 +62,9 @@ class PUnitCertificate:
     def __setattr__(self, name, value):
         raise AttributeError("PUnitCertificate is immutable")
 
-    def with_root(self, w: PadicNumber) -> "PUnitCertificate":
-        """The same p-unit measured under a different square root of d."""
-        return PUnitCertificate(self.d, self.p, self.h, self.x, self.y, w)
-
     def conjugate(self) -> "PUnitCertificate":
-        """Swap the two primes above p (replace w by -w)."""
-        return self.with_root(-self.w)
+        """Swap the two primes above p: the same p-unit measured under -w."""
+        return PUnitCertificate(self.d, self.p, self.h, self.x, self.y, -self.w)
 
     def dump(self) -> dict:
         ell = self.ell

@@ -350,22 +350,14 @@ class WAlgebra:
     def from_scalar(self, sc):
         return self.element({("pi", 0): sc})
 
-    def from_lambda(self, h: LambdaElement, at: str = "pi"):
-        """Image of a truncated power series under T -> pi, y, or pi - y.
+    def from_lambda(self, h: LambdaElement, base: "WElement"):
+        """Image of a truncated power series under T -> base.
 
-        This is the specialization used by the cyclotomic characters; only
-        coefficients up to the algebra's nilpotency degree matter.
+        base lies in the maximal ideal (the cyclotomic characters use pi, y
+        and pi - y), so only coefficients up to the nilpotency degree matter.
         """
         if self.formal:
             raise DomainError("Lambda images need concrete scalars")
-        if at == "pi":
-            base = self.pi()
-        elif at == "y":
-            base = self.y()
-        elif at == "pi-y":
-            base = self.pi() - self.y()
-        else:
-            raise DomainError(f"unknown substitution target {at!r}")
         out = self.zero()
         power = self.one()
         for i in range(min(h.M, self.max_degree) + 1):
@@ -521,22 +513,22 @@ def epsilon_y(h: LambdaElement, alg: WAlgebra) -> WElement:
     """
     if alg.case == 1:
         raise DomainError("epsilon_y lives in cases 2 and 3")
-    return alg.from_lambda(h, "y")
+    return alg.from_lambda(h, alg.y())
 
 
 def epsilon_pi_minus_y(h: LambdaElement, alg: WAlgebra) -> WElement:
     """Image under T -> pi - y (cases 2 and 3)."""
     if alg.case == 1:
         raise DomainError("epsilon_pi_minus_y lives in cases 2 and 3")
-    return alg.from_lambda(h, "pi-y")
+    return alg.from_lambda(h, alg.pi() - alg.y())
 
 
 def hecke_t_image(h: LambdaElement, chi_l, alg: WAlgebra) -> WElement:
     """Image of T_l: 1 + chi(l) eps(l) + (chi(l) - 1) [(1 - eps(l))/pi] y."""
     if alg.case == 1:
         raise DomainError("the y-carrying image lives in cases 2 and 3")
-    full = alg.from_lambda(h, "pi")
-    ypart = alg.from_lambda(h, "y") - alg.one()  # (eps - 1)/pi * y
+    full = alg.from_lambda(h, alg.pi())
+    ypart = alg.from_lambda(h, alg.y()) - alg.one()  # (eps - 1)/pi * y
     return alg.one() + full * chi_l + ypart * (1 - chi_l)
 
 

@@ -236,6 +236,19 @@ def test_teichmuller_twist_always_carries_p():
     assert fields(chi15.teichmuller_twist(2, 5)) == (-3, None, 0, frozenset({5}))
 
 
+def test_teichmuller_twist_needs_the_character_s_own_prime():
+    # a character carrying omega_q twists only at q; a real one at any p
+    om7 = DirichletCharacter.teichmuller_power(7)
+    with pytest.raises(DomainError, match=r"omega_7.*omega_3"):
+        om7.teichmuller_twist(1, 3)
+    assert om7.teichmuller_twist(1, 7) == om7 * om7
+    for d in (-3, -4, -7, -20):
+        chi = DirichletCharacter.quadratic(d)
+        for p in (3, 5, 7, 11, 13):
+            for j in (-1, 0, 1, 2):
+                assert chi.teichmuller_twist(j, p).modulus % p == 0, (d, p, j)
+
+
 def test_raise_modulus():
     chi = DirichletCharacter.quadratic(-3)
     raised = chi.raise_modulus({5})

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,18 @@ def test_composite_p_exits_2(capsys, p):
     code, _, err = run(["gross-stark", "--p", p, "--disc", "-4"], capsys)
     assert code == 2
     assert "odd prime" in err
+
+
+def test_p_above_max_p_exits_2_before_the_primality_test():
+    # validate only: never run a check at these p
+    RunConfig("lambda", primes=(99991,)).validate()   # the largest prime <= MAX_P
+    for p in (100003, 3 * (10 ** 13 + 37)):
+        t0 = time.perf_counter()
+        with pytest.raises(UsageError, match=f"above MAX_P = {cli.MAX_P}"):
+            RunConfig("lambda", primes=(p,)).validate()
+        assert time.perf_counter() - t0 < 0.05, p
+    with pytest.raises(UsageError, match="odd prime"):
+        RunConfig("lambda", primes=(99999,)).validate()
 
 
 def test_package_imports_without_sympy():
@@ -304,6 +317,18 @@ def test_gross_stark_compares_with_the_regulator(capsys, tmp_path,
                           capsys, tmp_path)
     assert code == (1 if status == "fail" else 0)
     assert rows == [("gross-stark", "p=5 d=-4", status, val, detail)]
+
+
+def test_gross_stark_checks_the_class_number_formula(capsys, tmp_path,
+                                                     monkeypatch):
+    # h(-4) = 1 = (4/2) L(chi_-4, 0); a wrong h fails before the comparison
+    monkeypatch.setattr(cli, "class_number", lambda d: 2)
+    code, rows = fail_run(["gross-stark", "--p", "5", "--disc", "-4"],
+                          capsys, tmp_path)
+    assert code == 1
+    assert rows == [("gross-stark", "p=5 d=-4", "fail", None,
+                     "class number formula fails: h(-4) = 2, "
+                     "(w/2) L(chi, 0) = 1")]
 
 
 def test_lambda_nu_compares_with_the_angle_bracket(capsys, tmp_path,

@@ -7,7 +7,7 @@ import pytest
 from grossstark.errors import DomainError, IndeterminateOrderError
 from grossstark.lambdaring import (DEFAULT_TRUNCATION, LambdaElement,
                                    epsilon_char, nu_k, pi_normalize,
-                                   topological_generator)
+                                   topological_generator, uniformizer)
 from grossstark.padic import PadicNumber, angle_bracket, plog
 
 
@@ -174,3 +174,19 @@ def test_pi_normalize_finite_difference_bridge():
         diff = fd - lead
         assert diff.exact_zero or diff.is_zero_to_precision() \
             or diff.valuation >= m - 1, (m, diff)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pi_normalize_declares_only_known_digits(p):
+    # nu_k(h') for h = pi^n h' agrees, to every digit it declares, with the
+    # independent nu_k(h) / nu_k(pi)^n taken twenty terms further
+    for x in [x for x in range(2, 20) if x % p][:6]:
+        for M in (4, 8):
+            e, long = epsilon_char(x, p, M, 30), epsilon_char(x, p, M + 20, 30)
+            n, hp = pi_normalize(e - e.coeff(0))
+            h = long - long.coeff(0)
+            for k in (1 + p, 1 + p * p):
+                got, num = nu_k(hp, k), nu_k(h, k)
+                pi_k = nu_k(uniformizer(p, M + 20, num.precision + 4), k)
+                assert got.same_to(num / pi_k ** n, got.precision), \
+                    (x, M, k, got.precision)

@@ -103,6 +103,15 @@ def test_degenerate_twist_rejected():
         kubota_leopoldt(inst, 0)
 
 
+def test_character_at_another_prime_is_a_domain_error():
+    # omega_q with q != p has no Kubota-Leopoldt function at p: a DomainError
+    # naming both primes, not a ConsistencyError from inside the engine
+    for p, q in ((3, 7), (7, 5)):
+        inst = LSeriesInstance(p, DirichletCharacter(1, q, 1))
+        with pytest.raises(DomainError, match=rf"omega_{q}.*omega_{p}"):
+            kubota_leopoldt(inst)
+
+
 def test_trivial_zero_when_split():
     # chi_{-4}(5) = 1: L_p(chi omega, 0) = 0 to precision
     inst = LSeriesInstance(5, chi(-4), 12)
@@ -174,7 +183,6 @@ def test_analytic_invariant_rank1():
     inst = LSeriesInstance(5, chi(-4), 12)
     rep = analytic_invariant(inst)
     assert rep.r == 1
-    assert rep.has_exceptional_zero
     assert rep.classical_value == Fraction(1, 2)
     # L_an = L_p'(0) / L(chi, 0) = 2 L_p'(0)
     assert rep.l_an.residue(12) == (2 * 1352422578 * 5) % 5 ** 12
@@ -186,7 +194,6 @@ def test_analytic_invariant_rank0_is_one():
     inst = LSeriesInstance(7, chi(-4), 12)
     rep = analytic_invariant(inst)
     assert rep.r == 0
-    assert not rep.has_exceptional_zero
     assert (rep.l_an - 1).valuation >= 8
 
 

@@ -308,7 +308,7 @@ def test_epsilon_image_product_law():
     alg = build_W(2, 2, r_an=2, L=L0, W=W0)
     for x in (2, 3, 7):
         h = epsilon_char(x, p)
-        full = alg.from_lambda(h, "pi")
+        full = alg.from_lambda(h, alg.pi())
         prod = epsilon_y(h, alg) * epsilon_pi_minus_y(h, alg)
         diff = full - prod
         assert not diff.nonzero(), x
@@ -330,10 +330,10 @@ def test_hecke_images():
     h = epsilon_char(3, p)
     # split prime: chi(l) = 1 collapses to 1 + pi-image
     t_split = hecke_t_image(h, 1, alg)
-    assert not (t_split - (alg.one() + alg.from_lambda(h, "pi"))).nonzero()
+    assert not (t_split - (alg.one() + alg.from_lambda(h, alg.pi()))).nonzero()
     # inert prime: 1 - eps(l) + 2 (eps_y(l) - 1)
     t_inert = hecke_t_image(h, -1, alg)
-    want = alg.one() - alg.from_lambda(h, "pi") + (epsilon_y(h, alg) - alg.one()) * 2
+    want = alg.one() - alg.from_lambda(h, alg.pi()) + (epsilon_y(h, alg) - alg.one()) * 2
     assert not (t_inert - want).nonzero()
     # U_{p_i} images
     assert u_p_image(alg, 1) == alg.one() + alg.eps(1)

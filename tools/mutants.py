@@ -102,6 +102,23 @@ MUTANTS = [
      "                    diff = series - exact\n",
      "                    diff = series - kubota_leopoldt(instance, n)\n",
      "interp reads the series engine on both sides"),
+    # domain and cross-layer guards
+    ("lambdaring.py",
+     "    return n, LambdaElement(h.p, shifted, h.M - n)\n",
+     "    return n, LambdaElement(h.p, shifted, h.M)\n",
+     "let pi_normalize claim the n unknown top coefficients"),
+    ("characters.py",
+     "        if self.p not in (None, p):\n",
+     "        if False:\n",
+     "twist a character that carries another prime"),
+    ("cli.py",
+     "            if p > MAX_P:\n",
+     "            if False:\n",
+     "drop the MAX_P bound on --p"),
+    ("cli.py",
+     "                if h != half_w * rep.classical_value:\n",
+     "                if False:\n",
+     "drop the class number formula check"),
 ]
 
 
