@@ -11,6 +11,13 @@ series is artifact plumbing; the contract is the interpolation property
 L_p(chi*omega, n) = L*(chi*omega^n, n) at integers n <= 0, which the tests
 check against the exact generalized-Bernoulli route.
 
+psi is even (chi is odd), so the term of F - a equals the term of a at every
+s, jets included: B_n(1 - x) = (-1)^n B_n(x) gives it at s = 1 - n, and
+continuity in s carries it from the dense set of positive n to all of the
+domain.  The engine sums over a < F/2 and doubles the total; an odd psi
+raises DomainError, since its true sum cancels to 0 and the halved one
+would not.
+
 Derivatives in s are taken by running the same sum over truncated dual
 numbers (jets in a formal increment delta), and cross-checked against finite
 differences at s = p^m.  Results are declared at absolute precision N and
@@ -35,11 +42,13 @@ taken at the highest order among the evaluation points:
 - One exponent rule serves integer and p-adic s alike: <a> generates a
   subgroup of (1 + pZ)/p^M of order dividing p^(M-1), so <a>^(1-s) may
   use any e = 1-s mod p^(M-1); the engine takes the e of least absolute
-  value.  A negative e is raised on <a>^-1 = a^-1 omega(a), built only
-  when some point needs it: s = p^m costs a (p^m - 1)-th power instead
-  of one by a residue of about M digits, and s <= 0 a (1-s)-th power.
+  value.  A negative e is raised on <a>^-1: s = p^m costs a (p^m - 1)-th
+  power instead of one by a residue of about M digits, and s <= 0 a
+  (1-s)-th power.
 - exp(-delta log<a>) contributes (-log<a>)^t / t!; the loop multiplies by
   order!/t! instead and divides by order! once after the loop.
+- <a> = a omega(a^-1) and <a>^-1 = a^-1 omega(a) are ints read off the
+  p - 1 Teichmueller lifts omega(r), r = 1..p-1, built once per call.
 - One call takes every evaluation point (s, order) that a public function
   needs, such as s = 0 and the three finite-difference points of
   `analytic_invariant`.  psi(a), <a>, a^-1 and log_p<a> mod p^M are built
@@ -148,7 +157,7 @@ _FD_EXPONENTS = (2, 3, 4)
 def _logs(units: list, p: int, M: int) -> list:
     """log_p<a> mod p^M for the ascending units a, the first of them 1.
 
-    plog runs on the primes q <= F; the composites follow by additivity
+    plog runs on the prime units; the composites follow by additivity
     (log_p is a homomorphism on Z_p^x).
     """
     spf = _smallest_prime_factors(units[-1])
@@ -234,6 +243,8 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
     them all.
     """
     psi = chi.teichmuller_twist(1, p)
+    if psi.is_odd:
+        raise DomainError("chi*omega must be even: chi must be odd")
     if psi.is_trivial_function:
         raise UnsupportedPoleError(
             "chi equals the inverse Teichmueller character; L_p has a pole")
@@ -269,17 +280,17 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
                        d1,  # the one odd row: B_j = 0 for odd j > 1
                        [fact // math.factorial(t) for t in range(order + 1)],
                        exponent if exponent <= q // 2 else exponent - q))
-    signed = any(exponent < 0 for *_, exponent in passes)
+    omega = [0] + [teichmuller_lift(r, p, M) for r in range(1, p)]
     units, rows = [], []
-    for a in range(1, F + 1):
+    # psi is even, so the term of F - a is the term of a: sum a < F/2, twice
+    for a in range(1, (F + 1) // 2):
         c = psi.residue(a, M) % pm
         if not c:
             continue
         inv = pow(a, -1, pm)
-        # <a>^-1 = a^-1 omega(a), for the points with a negative exponent
-        ang_inv = inv * teichmuller_lift(a % p, p, M) % pm if signed else 0
         units.append(a)
-        rows.append((c, angle_bracket(a, p, M).residue(M), ang_inv, inv))
+        # <a> = a omega(a^-1) and <a>^-1 = a^-1 omega(a)
+        rows.append((c, a * omega[inv % p] % pm, inv * omega[a % p] % pm, inv))
     logs = _logs(units, p, M) if top else [0] * len(rows)
     totals = [[0] * len(ords) for ords, *_ in passes]
     for (c, ang, ang_inv, inv), lam in zip(rows, logs):
@@ -308,7 +319,7 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
         K = _HEADROOM + v_p(fact, p)
         # the p-part of order! sits in K; divide out its unit part
         unit_inv = pow(fact // p ** v_p(fact, p), -1, pm)
-        scaled = [Fraction(x * unit_inv % pm, p ** K) for x in total]
+        scaled = [Fraction(2 * x * unit_inv % pm, p ** K) for x in total]
         # prefactor 1/(F (s - 1 + delta)) as a jet
         pref = [Fraction((-1) ** i, F * (sigma - 1) ** (i + 1))
                 for i in range(order + 1)]

@@ -377,7 +377,7 @@ def test_series_jets_checks_every_point_first(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("the residue rows must not be built")
 
-    monkeypatch.setattr(lfunctions, "angle_bracket", unbuilt)
+    monkeypatch.setattr(lfunctions, "teichmuller_lift", unbuilt)
     unit = PadicNumber.from_exact(5, 3, 10)
     with pytest.raises(PoleError):
         lfunctions._series_jets(chi(-4), 5, 12, [(0, 1), (25, 0), (1, 0)])
@@ -503,3 +503,32 @@ def test_series_jets_match_the_oracle(p, d):
     for pt in points[4:]:
         assert (lfunctions._series_jets(chi(d), p, W, [pt])
                 == _oracle_series_jets(chi(d), p, W, [pt])), pt
+
+
+# the engine sums a < F/2 and doubles; the oracle sums every a <= F
+HALF_SUM_CASES = [(3, -4), (3, -20), (3, -56), (5, -4), (5, -7), (5, -23),
+                  (7, -3), (7, -8), (7, -19), (11, -3), (11, -7), (13, -4),
+                  (13, -7)]
+
+
+@pytest.mark.parametrize("p,d", HALF_SUM_CASES)
+def test_series_jets_match_the_full_sum_to_good_to(p, d):
+    # every oracle point in one call, up to order 3 at s = 0
+    W = 12
+    points = _oracle_points(p, W)
+    got = lfunctions._series_jets(chi(d), p, W, points)
+    full = _oracle_series_jets(chi(d), p, W, points)
+    for pt, (jets, good_to), (want, want_to) in zip(points, got, full):
+        assert good_to == want_to, pt
+        assert all(v_p(x - y, p) >= good_to for x, y in zip(jets, want)), pt
+
+
+def test_series_jets_reject_an_odd_psi():
+    # chi even makes psi = chi*omega odd: the full sum cancels to 0 mod
+    # p^good_to, but a sum over a < F/2 would not
+    [(full, good_to)] = _oracle_series_jets(chi(5), 3, 12, [(0, 1)])
+    assert all(v_p(x, 3) >= good_to for x in full)
+    with pytest.raises(DomainError, match="even"):
+        lfunctions._series_jets(chi(5), 3, 12, [(0, 1)])
+    with pytest.raises(DomainError, match="even"):
+        lfunctions._series_jets(chi(12), 7, 12, [(-1, 0)])

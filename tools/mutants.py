@@ -40,9 +40,13 @@ MUTANTS = [
      "_MARGIN = 5\n",
      "shrink the working-precision margin"),
     ("characters.py",
-     "            if not _bernoulli_table_valid(table):\n",
+     "            if not table or table[:k] != proven:\n",
+     "            if not table:\n",
+     "skip the compare of a loaded Bernoulli cache against proven rows"),
+    ("characters.py",
+     "            if len(table) > k and not _bernoulli_table_valid(table, k):\n",
      "            if False:\n",
-     "skip the recursion check on a loaded Bernoulli cache"),
+     "skip the recursion on the loaded rows past the proven ones"),
     ("lambdaring.py",
      "    cap = (h.M + 1) * v0\n",
      "    cap = (h.M + 3) * v0\n",
@@ -55,6 +59,19 @@ MUTANTS = [
      '        if status in ("pass", "fail") and not self.config.conclusive:\n',
      "        if False:\n",
      "drop the low-precision downgrade to inconclusive"),
+    # the a <-> F - a symmetry of the series engine
+    ("lfunctions.py",
+     "        scaled = [Fraction(2 * x * unit_inv % pm, p ** K) for x in total]\n",
+     "        scaled = [Fraction(x * unit_inv % pm, p ** K) for x in total]\n",
+     "drop the doubling of the half sum"),
+    ("lfunctions.py",
+     "    for a in range(1, (F + 1) // 2):\n",
+     "    for a in range(1, F + 1):\n",
+     "sum over every unit and still double"),
+    ("lfunctions.py",
+     "    if psi.is_odd:\n",
+     "    if False:\n",
+     "drop the guard against an odd psi"),
     # declared-precision sites
     ("lfunctions.py",
      "    return PadicNumber.from_exact(p, x, N) if x else PadicNumber(p, N, 0, N)\n",
