@@ -505,7 +505,10 @@ def test_series_jets_match_the_oracle(p, d):
                 == _oracle_series_jets(chi(d), p, W, [pt])), pt
 
 
-# the engine sums a < F/2 and doubles; the oracle sums every a <= F
+# The engine sums a < F/2 and doubles; the oracle sums every a <= F.  The
+# contract is agreement mod p^good_to.  (They also agree as Fractions on
+# every case tried: the tail cut at jmax lies past p^M, so the terms of a
+# and F - a agree mod p^M.)
 HALF_SUM_CASES = [(3, -4), (3, -20), (3, -56), (5, -4), (5, -7), (5, -23),
                   (7, -3), (7, -8), (7, -19), (11, -3), (11, -7), (13, -4),
                   (13, -7)]
