@@ -261,15 +261,12 @@ def _canonicalize(disc, p, om_exp, zeros):
 class BernoulliCache:
     """Exact Bernoulli numbers B_n (classical convention, B_1 = -1/2), disk-backed.
 
-    The JSON file is checked on every load, never trusted.  Its rows that
-    this process has already proven (`_proven_rows`) are compared, not
-    re-proven; the rows past those are proven by the defining recursion
-    sum_{j=0}^{n} C(n+1, j) B_j = 0.  The recursion fixes B_n from
-    B_0..B_{n-1}, so both checks accept exactly the true prefix.  Invalid or
-    wrong-version files are discarded silently (and recomputed).  save()
-    writes the file only when the table holds entries the file lacks: after
-    a fill, or when the file was missing or discarded.  A table that a run
-    served without change is not written again.
+    The JSON file is revalidated on load against the defining recursion
+    sum_{j=0}^{n} C(n+1, j) B_j = 0; invalid or wrong-version files are
+    discarded silently (and recomputed), never trusted.  save() writes the
+    file only when the table holds entries the file lacks: after a fill, or
+    when the file was missing or discarded.  A table that a run served
+    without change is not written again.
     """
 
     VERSION = 1
@@ -295,13 +292,8 @@ class BernoulliCache:
                     return
                 num, _, den = txt.partition("/")
                 table.append(Fraction(int(num), int(den or 1)))
-            proven = _proven_rows[:len(table)]
-            k = len(proven)
-            if not table or table[:k] != proven:
+            if not _bernoulli_table_valid(table):
                 return
-            if len(table) > k and not _bernoulli_table_valid(table, k):
-                return
-            _proven_rows.extend(table[k:])
             self._table = table
             self._on_disk = len(table)
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
@@ -330,7 +322,6 @@ class BernoulliCache:
                 raise ConsistencyError(
                     f"Bernoulli numbers B_{start}..B_{n} fail the recursion")
             self.computed_count += n + 1 - start
-            _proven_rows.extend(self._table[len(_proven_rows):])
         return self._table[n]
 
 
@@ -385,8 +376,6 @@ def _bernoulli_table_valid(table, start=1):
     return True
 
 
-# B_0, B_1, ... as far as this process has proven them, on a load or a fill
-_proven_rows = [Fraction(1)]
 _default_cache = BernoulliCache()
 _shared_cache: BernoulliCache | None = None
 

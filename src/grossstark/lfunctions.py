@@ -48,7 +48,7 @@ taken at the highest order among the evaluation points:
 - exp(-delta log<a>) contributes (-log<a>)^t / t!; the loop multiplies by
   order!/t! instead and divides by order! once after the loop.
 - <a> = a omega(a^-1) and <a>^-1 = a^-1 omega(a) are ints read off the
-  p - 1 Teichmueller lifts omega(r), r = 1..p-1, built once per call.
+  memoized Teichmueller lifts omega(r), r = 1..p-1.
 - One call takes every evaluation point (s, order) that a public function
   needs, such as s = 0 and the three finite-difference points of
   `analytic_invariant`.  psi(a), <a>, a^-1 and log_p<a> mod p^M are built
@@ -280,7 +280,6 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
                        d1,  # the one odd row: B_j = 0 for odd j > 1
                        [fact // math.factorial(t) for t in range(order + 1)],
                        exponent if exponent <= q // 2 else exponent - q))
-    omega = [0] + [teichmuller_lift(r, p, M) for r in range(1, p)]
     units, rows = [], []
     # psi is even, so the term of F - a is the term of a: sum a < F/2, twice
     for a in range(1, (F + 1) // 2):
@@ -290,7 +289,8 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
         inv = pow(a, -1, pm)
         units.append(a)
         # <a> = a omega(a^-1) and <a>^-1 = a^-1 omega(a)
-        rows.append((c, a * omega[inv % p] % pm, inv * omega[a % p] % pm, inv))
+        rows.append((c, a * teichmuller_lift(inv % p, p, M) % pm,
+                     inv * teichmuller_lift(a % p, p, M) % pm, inv))
     logs = _logs(units, p, M) if top else [0] * len(rows)
     totals = [[0] * len(ords) for ords, *_ in passes]
     for (c, ang, ang_inv, inv), lam in zip(rows, logs):

@@ -534,109 +534,6 @@ def test_bernoulli_cache_rejects_wrong_version(tmp_path):
     assert fresh.computed_count > 0
 
 
-# -- the loader against the rows this process has already proven ------------
-# _proven_rows is process state, so each test sets it.
-
-TRUE_ROWS = [BernoulliCache().number(n) for n in range(41)]
-
-
-def _write_table(path, table):
-    entries = [[n, f"{b.numerator}/{b.denominator}"] for n, b in enumerate(table)]
-    path.write_text(json.dumps({"version": 1, "entries": entries}))
-
-
-def _recorded_recursion(monkeypatch):
-    """Record the start of every _bernoulli_table_valid call; still run it."""
-    starts, check = [], characters._bernoulli_table_valid
-
-    def recorded(table, start=1):
-        starts.append(start)
-        return check(table, start)
-
-    monkeypatch.setattr(characters, "_bernoulli_table_valid", recorded)
-    return starts
-
-
-def _perturbed(n):
-    table = list(TRUE_ROWS)
-    table[n] += Fraction(1, 10 ** 40)
-    return table
-
-
-def test_bernoulli_load_discards_a_row_that_differs_from_a_proven_one(
-        tmp_path, monkeypatch):
-    monkeypatch.setattr(characters, "_proven_rows", TRUE_ROWS[:41])
-    path = tmp_path / "bern.json"
-    _write_table(path, _perturbed(30))
-    starts = _recorded_recursion(monkeypatch)
-    fresh = BernoulliCache(str(path))
-    assert starts == []  # the compare alone rejects it
-    assert fresh.computed_count == 0
-    assert fresh.number(30) == TRUE_ROWS[30]
-    assert fresh.computed_count == 30
-
-
-def test_bernoulli_load_proves_the_rows_past_the_proven_ones(
-        tmp_path, monkeypatch):
-    monkeypatch.setattr(characters, "_proven_rows", TRUE_ROWS[:11])
-    path = tmp_path / "bern.json"
-    _write_table(path, TRUE_ROWS)
-    starts = _recorded_recursion(monkeypatch)
-    loaded = BernoulliCache(str(path))
-    assert starts == [11]
-    assert loaded.number(40) == TRUE_ROWS[40]
-    assert loaded.computed_count == 0
-    assert characters._proven_rows == TRUE_ROWS
-
-
-def test_bernoulli_load_discards_one_bad_row_past_the_proven_ones(
-        tmp_path, monkeypatch):
-    monkeypatch.setattr(characters, "_proven_rows", TRUE_ROWS[:11])
-    path = tmp_path / "bern.json"
-    _write_table(path, _perturbed(30))
-    fresh = BernoulliCache(str(path))
-    assert characters._proven_rows == TRUE_ROWS[:11]
-    assert fresh.number(30) == TRUE_ROWS[30]
-    assert fresh.computed_count == 30
-    assert characters._proven_rows == TRUE_ROWS[:31]
-
-
-def test_bernoulli_warm_reload_runs_no_recursion_on_proven_rows(
-        tmp_path, monkeypatch):
-    # a fill proves its rows; a reload of the file in the same process only
-    # compares them
-    monkeypatch.setattr(characters, "_proven_rows", [Fraction(1)])
-    path = tmp_path / "bern.json"
-    cache = BernoulliCache(str(path))
-    cache.number(40)
-    cache.save()
-    assert characters._proven_rows == TRUE_ROWS
-    starts = _recorded_recursion(monkeypatch)
-    warm = BernoulliCache(str(path))
-    assert starts == []
-    assert warm.number(40) == TRUE_ROWS[40]
-    assert warm.computed_count == 0
-
-
-def test_bernoulli_load_of_a_shorter_table_keeps_the_proven_rows(
-        tmp_path, monkeypatch):
-    monkeypatch.setattr(characters, "_proven_rows", TRUE_ROWS[:41])
-    path = tmp_path / "bern.json"
-    _write_table(path, TRUE_ROWS[:11])
-    loaded = BernoulliCache(str(path))
-    assert loaded.number(10) == TRUE_ROWS[10]
-    assert loaded.computed_count == 0
-    assert characters._proven_rows == TRUE_ROWS
-
-
-def test_bernoulli_cache_discards_an_empty_table(tmp_path):
-    path = tmp_path / "bern.json"
-    _write_table(path, [])
-    fresh = BernoulliCache(str(path))
-    assert fresh.number(8) == bernoulli_number(8)
-    assert fresh.computed_count == 8
-
-
 def test_shared_cache_hookup(tmp_path):
     cache = BernoulliCache(str(tmp_path / "b.json"))
     set_shared_cache(cache)

@@ -40,13 +40,9 @@ MUTANTS = [
      "_MARGIN = 5\n",
      "shrink the working-precision margin"),
     ("characters.py",
-     "            if not table or table[:k] != proven:\n",
-     "            if not table:\n",
-     "skip the compare of a loaded Bernoulli cache against proven rows"),
-    ("characters.py",
-     "            if len(table) > k and not _bernoulli_table_valid(table, k):\n",
+     "            if not _bernoulli_table_valid(table):\n",
      "            if False:\n",
-     "skip the recursion on the loaded rows past the proven ones"),
+     "skip the recursion check on a loaded Bernoulli cache"),
     ("lambdaring.py",
      "    cap = (h.M + 1) * v0\n",
      "    cap = (h.M + 3) * v0\n",

@@ -1,11 +1,12 @@
 """Sweep `verify gross-stark` and `verify interp` over the whole small grid.
 
-    python3 tools/sweep.py [--bound 3000] [--out SWEEP.json]
+    python3 tools/sweep.py [--out SWEEP.json]
 
-Every negative fundamental discriminant d with |d| < bound and every odd
+Every negative fundamental discriminant d with |d| < 3000 and every odd
 prime p <= 13 split in Q(sqrt(d)), that is chi_d(p) = 1, at N = 12.  Each
 (command, p, d) is one `verify` call, made in this process through
-grossstark.cli.main with a JSON report.  A seeded subsample of the instances
+grossstark.cli.main with a JSON report of its own; a call that exits
+without a report, or with a nonzero code, counts as a non-pass.  A seeded subsample of the instances
 also checks precision honesty: every digit that the N = 12 call of each
 public route on the gross-stark path declares must agree with the same
 call at N + 10.
@@ -41,6 +42,7 @@ from grossstark.lfunctions import (LSeriesInstance,  # noqa: E402
                                    analytic_invariant, kubota_leopoldt)
 from grossstark.regulator import find_p_unit, gross_regulator_rank1  # noqa: E402
 
+BOUND = 3000  # every d with |d| < BOUND
 PRIMES = (3, 5, 7, 11, 13)
 PREC = 12
 COMMANDS = ("gross-stark", "interp")
@@ -49,15 +51,15 @@ HONESTY_SEED = 20261018
 SLOWEST = 20
 
 
-def instances(bound: int) -> list:
-    """(p, d) for every split p <= 13 and fundamental d, -bound < d < 0."""
-    return [(p, d) for d in range(-3, -bound, -1)
+def instances() -> list:
+    """(p, d) for every split p <= 13 and fundamental d, -BOUND < d < 0."""
+    return [(p, d) for d in range(-3, -BOUND, -1)
             if is_fundamental_discriminant(d)
             for p in PRIMES if kronecker(d, p) == 1]
 
 
 def verify(command: str, p: int, d: int, report_path: str):
-    """One in-process `verify` call: (exit code, report, ms)."""
+    """One in-process `verify` call: (exit code, report or None, ms)."""
     argv = [command, "--p", str(p), "--disc", str(d), "--prec", str(PREC),
             "--json", report_path]
     sink = io.StringIO()
@@ -65,6 +67,8 @@ def verify(command: str, p: int, d: int, report_path: str):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         rc = cli.main(argv)
     ms = (time.perf_counter() - t0) * 1000
+    if not os.path.exists(report_path):
+        return rc, None, ms
     with open(report_path) as fh:
         return rc, json.load(fh), ms
 
@@ -90,27 +94,31 @@ def dishonest(p: int, d: int) -> list:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--bound", type=int, default=3000,
-                        help="sweep every d with |d| < bound (default 3000)")
     parser.add_argument("--out", default=str(ROOT / "SWEEP.json"),
                         help="where to write the results (default SWEEP.json)")
     args = parser.parse_args()
-    grid = instances(args.bound)
+    grid = instances()
     status = {command: Counter() for command in COMMANDS}
     non_pass, timings = [], []
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="grossstark-sweep-") as tmp:
-        report_path = os.path.join(tmp, "report.json")
         for p, d in grid:
             for command in COMMANDS:
+                report_path = os.path.join(tmp, f"{command}_{p}_{-d}.json")
                 rc, report, ms = verify(command, p, d, report_path)
                 timings.append({"command": command, "p": p, "d": d,
                                 "ms": round(ms, 1)})
-                for check in report["checks"]:
+                checks = report["checks"] if report else []
+                for check in checks:
                     status[command][check["status"]] += 1
                     if check["status"] != "pass":
                         non_pass.append({"command": command, "exit": rc,
                                          **check})
+                if rc and all(c["status"] == "pass" for c in checks):
+                    # no report, or a failing exit that no check explains
+                    status[command][f"exit {rc}"] += 1
+                    non_pass.append({"command": command, "p": p, "d": d,
+                                     "exit": rc})
     sweep_s = time.perf_counter() - t0
     sample = sorted(random.Random(HONESTY_SEED).sample(
         grid, min(HONESTY_SAMPLE, len(grid))))
@@ -120,9 +128,8 @@ def main() -> int:
     honesty_s = time.perf_counter() - t1
     contradicted = [h for h in honesty if h["contradicted"]]
     result = {
-        "command": "python3 tools/sweep.py" + (
-            f" --bound {args.bound}" if args.bound != 3000 else ""),
-        "domain": {"d": f"negative fundamental, |d| < {args.bound}",
+        "command": "python3 tools/sweep.py",
+        "domain": {"d": f"negative fundamental, |d| < {BOUND}",
                    "p": f"split in Q(sqrt(d)), p in {list(PRIMES)}",
                    "prec": PREC},
         "host": {"machine": platform.machine(),
