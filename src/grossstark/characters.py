@@ -354,20 +354,28 @@ def _bernoulli_range(start: int, n: int) -> list:
 
 
 def _bernoulli_table_valid(table, start=1):
-    """sum_{j=0}^{n} C(n+1, j) B_j = 0 for every n >= start, on integer numerators.
+    """B_n = 0 for odd n > 1, and sum_{j=0}^{n} C(n+1, j) B_j = 0 for n = 1
+    and every even n, each from n = start on, on integer numerators.
 
-    Scaling the table by the LCM of its denominators keeps the test exact
-    and spares a Fraction normalization per term.  Zero entries (B_j for
-    odd j > 1 in a true table) add nothing to any row and are left out;
-    a nonzero entry at any index is kept.
+    Row n fixes B_n from B_0..B_{n-1} (its coefficient is n + 1), and the
+    true B_n vanish at odd n > 1, so from start = 1 this accepts exactly
+    what the recursion at every n accepts, the true prefix, with half the
+    rows.  Scaling the table by the LCM of its denominators keeps the test
+    exact and spares a Fraction normalization per term.  Zero entries add
+    nothing to any row and are left out; a nonzero entry at any index is
+    kept.
     """
     if not table or table[0] != 1:
+        return False
+    if any(table[n] for n in range(max(start, 3) | 1, len(table), 2)):
         return False
     lcm = math.lcm(*(b.denominator for b in table))
     js = [j for j, b in enumerate(table) if b]
     nums = [table[j].numerator * (lcm // table[j].denominator) for j in js]
     k = 0  # the number of nonzero j <= n
     for n in range(start, len(table)):
+        if n % 2 and n > 1:
+            continue
         while k < len(js) and js[k] <= n:
             k += 1
         if sum(map(operator.mul, map(math.comb, itertools.repeat(n + 1),

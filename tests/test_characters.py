@@ -314,6 +314,18 @@ def test_bernoulli_check_skipping_zeros_matches_the_oracle():
             assert not characters._bernoulli_table_valid(table), (n, bad)
 
 
+def test_bernoulli_check_rejects_a_bad_odd_entry_the_even_rows_miss():
+    # B_n = 1/7 at an odd n, and B_{n+1} moved so that row n + 1 still
+    # holds: every even row passes, and only row 1 (n = 1) or the zero test
+    # (n > 1) rejects the table, as the odd row n of the full recursion does
+    true = [BernoulliCache().number(n) for n in range(42)]
+    for n in range(1, 41, 2):
+        shift = (Fraction(1, 7) - true[n]) * comb(n + 2, n) / (n + 2)
+        table = true[:n] + [Fraction(1, 7), true[n + 1] - shift]
+        assert not _oracle_table_valid(table), n
+        assert not characters._bernoulli_table_valid(table), n
+
+
 def test_bernoulli_table_known_values():
     cache = BernoulliCache()
     known = {

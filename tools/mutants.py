@@ -43,6 +43,14 @@ MUTANTS = [
      "            if not _bernoulli_table_valid(table):\n",
      "            if False:\n",
      "skip the recursion check on a loaded Bernoulli cache"),
+    ("characters.py",
+     "    if any(table[n] for n in range(max(start, 3) | 1, len(table), 2)):\n",
+     "    if False:\n",
+     "let the Bernoulli check skip the odd rows without the zero test"),
+    ("characters.py",
+     "        if n % 2 and n > 1:\n",
+     "        if n % 2:\n",
+     "let the Bernoulli check skip row 1, which fixes B_1"),
     ("lambdaring.py",
      "    cap = (h.M + 1) * v0\n",
      "    cap = (h.M + 3) * v0\n",
