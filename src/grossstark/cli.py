@@ -33,7 +33,8 @@ from .errors import (ConsistencyError, ConstructionError,
                      DegenerateInstanceError, DomainError, PrecisionError)
 from .lambdaring import epsilon_char, nu_k, pi_normalize, uniformizer
 from .lfunctions import (CONCLUSIVE_PRECISION, LSeriesInstance,
-                         analytic_invariant, kubota_leopoldt, lstar)
+                         analytic_invariant, kubota_leopoldt, lstar,
+                         working_precision)
 from .padic import PadicNumber, angle_bracket, is_prime, is_zero
 from .qexp import eisenstein, hecke_T, verify_up_relation
 from .regulator import class_number, find_p_unit, gross_regulator_rank1
@@ -44,6 +45,12 @@ CACHE_ENV = "GROSSSTARK_CACHE"
 # the largest --p accepted: trial division proves any p up to here prime in
 # at most 160 steps, and gross-stark near it already runs for minutes
 MAX_P = 10 ** 5
+# bounds on --disc: the fundamental-discriminant test divides up to sqrt|d|,
+# and for interp and gross-stark the series engine's time and memory grow
+# with F*W, F = |d| p and W its working precision (the largest instance
+# timed, p = 3, d = -30011, N = 12, has F*W = 1.8e6 and takes 2.4 s)
+MAX_ABS_D = 10 ** 5
+MAX_FW = 2 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -76,11 +83,17 @@ class RunConfig:
             if p < 3 or not is_prime(p):
                 raise UsageError(f"p must be an odd prime, got {p}")
         for d in self.discs:
+            if abs(d) > MAX_ABS_D:
+                raise UsageError(f"|{d}| is above MAX_ABS_D = {MAX_ABS_D}")
             if d >= 0 or not is_fundamental_discriminant(d):
                 raise UsageError(
                     f"disc {d} is not a negative fundamental discriminant")
         if self.command in ("interp", "gross-stark", "hecke") and not self.discs:
             raise UsageError(f"'{self.command}' needs at least one --disc")
+        fw = (max(self.primes, default=0) * working_precision(self.prec)
+              * max(map(abs, self.discs), default=0))
+        if self.command in ("interp", "gross-stark") and fw > MAX_FW:
+            raise UsageError(f"F*W = {fw} is above MAX_FW = {MAX_FW}")
         folder = os.path.dirname(self.json_path or "") or "."
         if not os.path.isdir(folder):
             raise UsageError(f"cannot write the report: no directory {folder}")

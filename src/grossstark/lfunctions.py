@@ -65,11 +65,15 @@ from fractions import Fraction
 from .characters import DirichletCharacter, bernoulli_number, gen_bernoulli
 from .errors import (ConsistencyError, DomainError, PoleError,
                      UnsupportedPoleError)
-from .padic import (PadicNumber, angle_bracket, is_prime, plog,
-                    teichmuller_lift, v_p)
+from .padic import PadicNumber, is_prime, plog, teichmuller_lift, v_p
 
 _MARGIN = 8
 CONCLUSIVE_PRECISION = 6  # below this N no pass or fail is conclusive
+
+
+def working_precision(N: int) -> int:
+    """W: the digits the series engine works to for a result declared at N."""
+    return N + _MARGIN
 
 
 @dataclass(frozen=True)
@@ -154,19 +158,19 @@ _HEADROOM = 1
 _FD_EXPONENTS = (2, 3, 4)
 
 
-def _logs(units: list, p: int, M: int) -> list:
+def _logs(units: list, brackets: list, p: int, M: int) -> list:
     """log_p<a> mod p^M for the ascending units a, the first of them 1.
 
-    plog runs on the prime units; the composites follow by additivity
-    (log_p is a homomorphism on Z_p^x).
+    brackets holds <a> mod p^M for each unit.  plog runs on the prime units;
+    the composites follow by additivity (log_p is a homomorphism on Z_p^x).
     """
     spf = _smallest_prime_factors(units[-1])
     # the factors of a unit a are units below a, so already known
     log = {1: 0}
-    for a in units[1:]:
+    for a, ang in zip(units[1:], brackets[1:]):
         q = spf[a]
         if q == a:
-            log[a] = plog(angle_bracket(a, p, M)).residue(M)
+            log[a] = plog(PadicNumber(p, 0, ang, M)).residue(M)
         else:
             log[a] = (log[q] + log[a // q]) % p ** M
     return [log[a] for a in units]
@@ -291,7 +295,7 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
         # <a> = a omega(a^-1) and <a>^-1 = a^-1 omega(a)
         rows.append((c, a * teichmuller_lift(inv % p, p, M) % pm,
                      inv * teichmuller_lift(a % p, p, M) % pm, inv))
-    logs = _logs(units, p, M) if top else [0] * len(rows)
+    logs = _logs(units, [r[1] for r in rows], p, M) if top else [0] * len(rows)
     totals = [[0] * len(ords) for ords, *_ in passes]
     for (c, ang, ang_inv, inv), lam in zip(rows, logs):
         inv2 = inv * inv % pm
@@ -340,7 +344,7 @@ def kubota_leopoldt(instance: LSeriesInstance, s=0) -> PadicNumber:
     p*Z_p.  At integers n <= 0 the result satisfies the interpolation
     identity L_p(chi*omega, n) = L*(chi*omega^n, n).
     """
-    W = instance.N + _MARGIN
+    W = working_precision(instance.N)
     [(jets, good_to)] = _series_jets(instance.chi, instance.p, W, [(s, 0)])
     return _declared(instance.p, jets[0], min(instance.N, good_to))
 
@@ -356,8 +360,8 @@ def _s0_jets(instance: LSeriesInstance):
     """
     p = instance.p
     points = [(0, 1)] + [(p ** m, 0) for m in _FD_EXPONENTS]
-    (jets, _), *rest = _series_jets(instance.chi, p, instance.N + _MARGIN,
-                                   points)
+    (jets, _), *rest = _series_jets(instance.chi, p,
+                                   working_precision(instance.N), points)
     d1 = jets[1]
     check_to = min(instance.N, 3)
     for m, (values, _) in zip(_FD_EXPONENTS, rest):
@@ -388,7 +392,7 @@ def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
     report declines to draw a conclusive line.
     """
     [(jets, _)] = _series_jets(instance.chi, instance.p,
-                               instance.N + _MARGIN, [(0, max_r)])
+                               working_precision(instance.N), [(0, max_r)])
     return _probe(instance, jets)
 
 

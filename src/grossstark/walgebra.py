@@ -384,8 +384,10 @@ class WElement:
 
     def __init__(self, algebra, coords):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords",
-                           {i: c for i, c in coords.items() if not is_zero(c)})
+        # only exact zeros go: an O(p^k) coordinate keeps its precision
+        object.__setattr__(self, "coords", {
+            i: c for i, c in coords.items()
+            if (not c.exact_zero if isinstance(c, PadicNumber) else c)})
 
     def __setattr__(self, name, value):
         raise AttributeError("WElement is immutable")
@@ -394,7 +396,8 @@ class WElement:
         return self.coords.get(self.algebra.index[_monomial(mono)], 0)
 
     def nonzero(self) -> bool:
-        return bool(self.coords)
+        """True when some coordinate is nonzero to its precision."""
+        return not all(map(is_zero, self.coords.values()))
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):

@@ -278,14 +278,6 @@ def test_bernoulli_numbers_classical_convention():
     assert bernoulli_number(12) == Fraction(-691, 2730)
 
 
-def test_bernoulli_recursion_oracle():
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1 pins the sign convention
-    table = [BernoulliCache().number(n) for n in range(121)]
-    for n in range(1, 121):
-        total = sum(Fraction(comb(n + 1, j)) * table[j] for j in range(n + 1))
-        assert total == 0, n
-
-
 def _oracle_table_valid(table, start=1):
     """The all-terms check: every j <= n in every row, zero entries included."""
     if not table or table[0] != 1:

@@ -448,3 +448,16 @@ def test_padic_scalar_mode():
     got = e.coefficient(("y", 1))
     want = Lp * Wp.inverse()
     assert (got - want).is_zero_to_precision()
+
+
+def test_inexact_zero_coordinates_keep_their_precision():
+    # 5^6 known mod 5^4 is O(5^4), not 0: times 5^-6 it is O(5^-2)
+    alg = build_W(1, 1, r_an=1, L=L0)
+    x = alg.from_scalar(PadicNumber.from_exact(5, 5 ** 6, 4))
+    assert not x.nonzero() and x == 0
+    c = (x * Fraction(1, 5 ** 6)).coefficient(("pi", 0))
+    assert isinstance(c, PadicNumber) and not c.exact_zero
+    assert c.precision == -2
+    # exact zeros still go
+    assert alg.from_scalar(PadicNumber.zero(5)).coords == {}
+    assert alg.from_scalar(Fraction(0)).coords == {}

@@ -105,6 +105,56 @@ MUTANTS = [
      "    tol = N - 2\n",
      "    tol = N - 4\n",
      "loosen the order probe's vanishing tolerance"),
+    # one digit past what each table row's own declaration site knows
+    ("lfunctions.py",
+     "    return jets, _declared(p, d1, instance.N)\n",
+     "    return jets, _declared(p, d1, instance.N + 5)\n",
+     "declare L_p'(0) one digit past its N + 4 good digits"),
+    ("lfunctions.py",
+     "    L0 = _declared(instance.p, jets[0], instance.N)\n",
+     "    L0 = _declared(instance.p, jets[0], instance.N + 10)\n",
+     "declare L_p(0) in analytic_invariant one digit past the N + 9 it knows"),
+    ("characters.py",
+     "        return PadicNumber(self.p, 0, r, prec)\n",
+     "        return PadicNumber(self.p, 0, r, prec + 1)\n",
+     "claim one more digit of a p-adic character value"),
+    ("characters.py",
+     "    return sum((PadicNumber(chi.p, 0, sums[n - j], prec) * coef\n",
+     "    return sum((PadicNumber(chi.p, 0, sums[n - j], prec + 2) * coef\n",
+     "claim two more digits of a p-adic gen_bernoulli sum (it knows one)"),
+    ("padic.py",
+     "    return PadicNumber(p, 0, a * teichmuller_lift(pow(a, -1, p), p, N), N)\n",
+     "    return PadicNumber(p, 0, a * teichmuller_lift(pow(a, -1, p), p, N), N + 1)\n",
+     "claim one more digit of <a>"),
+    ("padic.py",
+     "    return PadicNumber(p, 0, _lift_sqrt(r, a, p, N), N)\n",
+     "    return PadicNumber(p, 0, _lift_sqrt(r, a, p, N), N + 1)\n",
+     "claim one more digit of a Hensel square root"),
+    ("qexp.py",
+     "    coeffs = [Fraction(c) if etaJ.is_rational else PadicNumber(etaJ.p, 0, c, prec)\n",
+     "    coeffs = [Fraction(c) if etaJ.is_rational else PadicNumber(etaJ.p, 0, c, prec + 1)\n",
+     "claim one more digit of a p-adic Eisenstein coefficient"),
+    ("padic.py",
+     "        return PadicNumber(p, v, self.unit * other.unit, v + rel)\n",
+     "        return PadicNumber(p, v, self.unit * other.unit, v + rel + 1)\n",
+     "claim one more digit of a product (the rows built by arithmetic)"),
+    # the precision a route promises to declare: one digit fewer
+    ("lfunctions.py",
+     "    return _declared(instance.p, jets[0], min(instance.N, good_to))\n",
+     "    return _declared(instance.p, jets[0], min(instance.N, good_to) - 1)\n",
+     "declare kubota_leopoldt to N - 1 digits"),
+    ("lfunctions.py",
+     "    return jets, _declared(p, d1, instance.N)\n",
+     "    return jets, _declared(p, d1, instance.N - 1)\n",
+     "declare L_p'(0) to N - 1 digits"),
+    ("regulator.py",
+     "_W_MARGIN = 4\n",
+     "_W_MARGIN = 1\n",
+     "declare the rank-1 regulator to fewer than N digits"),
+    ("padic.py",
+     "    return PadicNumber(p, 0, y // pr * pow(p - 1, -1, pr), rel)\n",
+     "    return PadicNumber(p, 0, y // pr * pow(p - 1, -1, pr), rel - 1)\n",
+     "declare plog to rel - 1 digits"),
     # the checks' targets and fail branches
     ("cli.py",
      "                target = config.prec - 4\n",
@@ -123,6 +173,10 @@ MUTANTS = [
      "                    diff = series - exact\n",
      "                    diff = series - kubota_leopoldt(instance, n)\n",
      "interp reads the series engine on both sides"),
+    ("cli.py",
+     "                reg = gross_regulator_rank1(cert)\n",
+     "                reg = rep.l_an\n",
+     "gross-stark takes its regulator from the L-function side"),
     # domain and cross-layer guards
     ("lambdaring.py",
      "    return n, LambdaElement(h.p, shifted, h.M - n)\n",
@@ -136,6 +190,18 @@ MUTANTS = [
      "            if p > MAX_P:\n",
      "            if False:\n",
      "drop the MAX_P bound on --p"),
+    ("cli.py",
+     "            if abs(d) > MAX_ABS_D:\n",
+     "            if False:\n",
+     "drop the MAX_ABS_D bound on --disc"),
+    ("cli.py",
+     '        if self.command in ("interp", "gross-stark") and fw > MAX_FW:\n',
+     "        if False:\n",
+     "drop the MAX_FW bound on F*W"),
+    ("walgebra.py",
+     "            if (not c.exact_zero if isinstance(c, PadicNumber) else c)})\n",
+     "            if not is_zero(c)})\n",
+     "let WElement drop coordinates that are zero only to precision"),
     ("cli.py",
      "                if h != half_w * rep.classical_value:\n",
      "                if False:\n",
