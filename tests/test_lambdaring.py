@@ -10,6 +10,8 @@ from grossstark.lambdaring import (DEFAULT_TRUNCATION, LambdaElement,
                                    topological_generator, uniformizer)
 from grossstark.padic import PadicNumber, angle_bracket, plog
 
+from test_precision import check_row
+
 
 def test_nu_k_on_T():
     # nu_k(T) = u^{k-1} - 1; at k = 2 that is exactly p
@@ -26,6 +28,12 @@ def test_nu_k_needs_an_int_weight():
     for k in (Fraction(2), 2.0, PadicNumber.from_exact(5, 2, 12)):
         with pytest.raises(DomainError):
             nu_k(T, k)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_nu_k_declared_precision_is_real(p):
+    # the nu_k row of the precision table at this p
+    check_row("nu_k", lambda case: case[0] == p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

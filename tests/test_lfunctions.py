@@ -15,6 +15,8 @@ from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
                                    lp_derivative_at_0, lstar, order_probe)
 from grossstark.padic import PadicNumber, angle_bracket, plog, v_p
 
+from test_precision import HONESTY_PAIRS, check_row
+
 
 def chi(d):
     return DirichletCharacter.quadratic(d)
@@ -301,6 +303,14 @@ def test_analytic_invariant_matches_public_routes(p, d):
 
 
 # -- series engine on residues mod p^M ------------------------------------
+
+@pytest.mark.parametrize("p,d", HONESTY_PAIRS)
+def test_declared_precision_is_real(p, d):
+    # the kubota_leopoldt and lp_derivative_at_0 rows of the precision
+    # table at this (p, d): both declare exactly N, and every digit is real
+    check_row("kubota_leopoldt", lambda case: case[:2] == (p, d))
+    check_row("lp_derivative_at_0", lambda case: case == (p, d))
+
 
 @pytest.mark.parametrize("p,d,W,s,order,good_to,expected", [
     # order 3 at p = 3, where p divides 3!

@@ -13,6 +13,8 @@ from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
                               factorize, hensel_sqrt, is_prime, is_zero, plog,
                               teichmuller, v_p)
 
+from test_precision import check_row
+
 
 def N(p, x, nabs=12):
     return PadicNumber.from_exact(p, x, nabs)
@@ -327,6 +329,11 @@ def test_plog_matches_the_series():
         got, want = plog(x), _series_plog(x)
         assert (got.v, got.unit, got.nabs) == (want.v, want.unit, want.nabs), \
             (p, rel, v, x.unit)
+
+
+def test_plog_precision_is_honest():
+    # the plog row of the precision table: rel digits declared, all real
+    check_row("plog")
 
 
 def test_hensel_sqrt_binding_values():

@@ -15,6 +15,8 @@ from grossstark.regulator import (PUnitCertificate, class_number, find_p_unit,
                                   gross_regulator_general,
                                   gross_regulator_rank1)
 
+from test_precision import check_row
+
 
 def test_find_p_unit_binding_examples():
     # (d, p) -> (h, x, y) for the canonical smallest-x Cornacchia solution
@@ -137,6 +139,13 @@ def test_associate_invariance():
     r1 = gross_regulator_rank1(cert)
     r2 = gross_regulator_rank1(other)
     assert (r1 - r2).is_zero_to_precision()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_regulator_declared_precision_is_real(p):
+    # the rank-1 row of the precision table at this p: every d with
+    # |d| < 400 in which p splits, at least N digits declared, all real
+    check_row("gross_regulator_rank1", lambda case: case[0] == p)
 
 
 def test_regulator_locked_value():
