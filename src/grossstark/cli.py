@@ -41,7 +41,6 @@ from .regulator import class_number, find_p_unit, gross_regulator_rank1
 from .walgebra import (Laurent, build_W, case1_det_identity,
                        case2_det_identity, case3_det_identity)
 
-CACHE_ENV = "GROSSSTARK_CACHE"
 # the largest --p accepted: trial division proves any p up to here prime in
 # at most 160 steps, and gross-stark near it already runs for minutes
 MAX_P = 10 ** 5
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", dest="json_path", metavar="PATH",
                         help="write the JSON report to PATH")
     parser.add_argument("--cache", dest="cache_dir", metavar="DIR",
-                        help=f"cache directory (or set ${CACHE_ENV})")
+                        help="cache directory")
     return parser
 
 
@@ -423,8 +422,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    config = RunConfig(**{**vars(args), "cache_dir": cache_dir,
+    config = RunConfig(**{**vars(args),
                           "primes": tuple(args.primes or RunConfig.primes),
                           "discs": tuple(args.discs)})
     try:
@@ -433,14 +431,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cache = None
-    if cache_dir:
+    if config.cache_dir:
         try:
-            os.makedirs(cache_dir, exist_ok=True)
+            os.makedirs(config.cache_dir, exist_ok=True)
         except OSError as exc:
             print(f"error: cannot use the cache directory: {exc}",
                   file=sys.stderr)
             return 2
-        cache = BernoulliCache(os.path.join(cache_dir, "bernoulli.json"))
+        cache = BernoulliCache(
+            os.path.join(config.cache_dir, "bernoulli.json"))
         set_shared_cache(cache)
     errors = []
     rb = ReportBuilder(config)

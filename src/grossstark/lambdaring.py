@@ -61,11 +61,6 @@ class LambdaElement:
     def constant(cls, p, c, M=DEFAULT_TRUNCATION, N=None):
         return cls(p, [c], M, N)
 
-    @classmethod
-    def variable(cls, p, M=DEFAULT_TRUNCATION, N=None):
-        """The element T (exact coefficients)."""
-        return cls(p, [PadicNumber.zero(p), PadicNumber.from_exact(p, 1, N or 1)], M)
-
     def coeff(self, i: int) -> PadicNumber:
         return self.coeffs[i]
 

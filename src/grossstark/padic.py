@@ -398,10 +398,16 @@ def cornacchia(D: int, m: int):
     rest = target - b * b
     if rest % D:
         return None
-    y = math.isqrt(rest // D)
-    if y == 0 or y * y * D != rest or not _pi_is_primitive(b, y, D):
-        return None
-    x = b
+    # Euclid keeps b = v r (mod 2m) with v != 0 and |v| < sqrt(m) (|v| r' <= 2m
+    # for the remainder r' > sqrt(4m) before b; v = 1 if no step ran), so with
+    # r^2 = -D (mod 4m), b^2 + D v^2 = 4m t for some 0 < t < 1 + D/4.  D | rest
+    # and gcd(D, m) = 1 give D | 4(t - 1), so t = 1: rest/D = v^2 is a square
+    # and y = |v| >= 1.  pi = (x + y sqrt(-D))/2 is primitive: b = v r
+    # (mod p^h) gives an embedding iota into Z_p with iota(pi) = 0 mod p^h,
+    # so iota(pi-bar) = p^h / iota(pi) is a unit and p does not divide pi;
+    # a rational q dividing pi needs q^2 | N(pi) = p^h.  x^2 + D y^2 = 0
+    # (mod 4) forces the parities that put pi in the maximal order.
+    x, y = b, math.isqrt(rest // D)
     # the extra units of Q(i) and Q(sqrt(-3)) give associates with other x
     if D == 4:
         return min((x, y), (2 * y, x // 2))
@@ -409,23 +415,3 @@ def cornacchia(D: int, m: int):
         return min((x, y), (abs(x + 3 * y) // 2, abs(x - y) // 2),
                    (abs(x - 3 * y) // 2, abs(x + y) // 2))
     return x, y
-
-
-def _pi_is_primitive(x, y, D):
-    # pi = (x + y sqrt(-D))/2 in the maximal order of Q(sqrt(-D)).
-    if D % 4 == 0:
-        # order Z[sqrt(-D/4)], coordinates (x/2, y); the 4m-form forces x even
-        if x % 2:
-            return False
-        return math.gcd(x // 2, y) == 1
-    # -D = 1 mod 4: order Z[(1+sqrt(-D))/2], x and y of equal parity
-    if (x - y) % 2:
-        return False
-    g = math.gcd(x, y)
-    for q, _ in factorize(g):
-        if q == 2:
-            if (x // 2 - y // 2) % 2 == 0:
-                return False
-        else:
-            return False
-    return True

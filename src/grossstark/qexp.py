@@ -98,16 +98,6 @@ class QExpansion:
 
     __rmul__ = __mul__
 
-    def dump(self) -> dict:
-        return {
-            "weight": self.weight,
-            "character": repr(self.character),
-            "modulus": self.character.modulus,
-            "coeffs": [f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction)
-                       else repr(c) for c in self.coeffs],
-            "reliable_to": self.reliable_to,
-        }
-
 
 def eisenstein(k: int, eta: DirichletCharacter, support=(), n_terms: int = 200,
                prec: int | None = None) -> QExpansion:

@@ -15,7 +15,6 @@ determinants det(-l_matrix)/det(o_matrix) on supplied measurement matrices.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -62,10 +61,6 @@ class PUnitCertificate:
     def __setattr__(self, name, value):
         raise AttributeError("PUnitCertificate is immutable")
 
-    def conjugate(self) -> "PUnitCertificate":
-        """Swap the two primes above p: the same p-unit measured under -w."""
-        return PUnitCertificate(self.d, self.p, self.h, self.x, self.y, -self.w)
-
     def dump(self) -> dict:
         ell = self.ell
         prec = ell.precision
@@ -84,9 +79,6 @@ class PUnitCertificate:
             "o": self.o,
             "ell_digits": digits,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.dump(), sort_keys=True)
 
     def __repr__(self):
         return (f"PUnitCertificate(d={self.d}, p={self.p}, h={self.h}, "

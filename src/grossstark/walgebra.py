@@ -392,9 +392,6 @@ class WElement:
     def __setattr__(self, name, value):
         raise AttributeError("WElement is immutable")
 
-    def coefficient(self, mono):
-        return self.coords.get(self.algebra.index[_monomial(mono)], 0)
-
     def nonzero(self) -> bool:
         """True when some coordinate is nonzero to its precision."""
         return not all(map(is_zero, self.coords.values()))

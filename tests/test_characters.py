@@ -499,6 +499,7 @@ def test_bernoulli_cache_rejects_corruption(tmp_path):
 @pytest.mark.parametrize("text", [
     '{"version": 1, "entries": [[0, "1/0"]]}',  # zero denominator
     '{"version": 1, "entries": [[0, 1]]}',      # entry is not a string
+    '{"version": 1, "entries": [[1, "1"]]}',    # entries out of order
     '[1, 2]',                                   # top level is not an object
 ])
 def test_bernoulli_cache_discards_malformed_file(tmp_path, text):

@@ -11,8 +11,8 @@ import pytest
 
 from grossstark import __version__, cli
 from grossstark.characters import BernoulliCache, bernoulli_number
-from grossstark.cli import (CACHE_ENV, CONCLUSIVE_PRECISION, ReportBuilder,
-                            RunConfig, UsageError, main)
+from grossstark.cli import (CONCLUSIVE_PRECISION, ReportBuilder, RunConfig,
+                            UsageError, main)
 from grossstark.errors import (ConstructionError, DegenerateInstanceError,
                                DomainError)
 from grossstark.qexp import QExpansion
@@ -52,6 +52,10 @@ def test_config_validation_errors():
         RunConfig("interp").validate()                # discs required
     with pytest.raises(UsageError):
         RunConfig("lambda", primes=(4,)).validate()
+    with pytest.raises(UsageError, match="lambda-trunc must be at least 1"):
+        RunConfig("lambda", lambda_trunc=0).validate()
+    with pytest.raises(UsageError, match="trials must be at least 1"):
+        RunConfig("w-algebra", trials=0).validate()
     RunConfig("lambda").validate()                    # discs optional here
     RunConfig("w-algebra").validate()
 
@@ -424,6 +428,17 @@ def test_hecke_up_reports_the_first_discrepancy(capsys, tmp_path, monkeypatch):
     assert rows[1][:3] == ("hecke-eigen", "d=-4", "pass")
 
 
+def test_hecke_eigen_below_its_tenth_prime_is_inconclusive(capsys, tmp_path):
+    # T_23 reads c(23), past the 20-term horizon: the check's PrecisionError
+    # is inconclusive at a conclusive --prec, and inconclusive is not failure
+    code, rows = fail_run(["hecke", "--p", "5", "--disc", "-4",
+                           "--qexp-terms", "20"], capsys, tmp_path)
+    assert code == 0
+    assert rows == [("hecke-up", "p=5 d=-4", "pass", None, "5 coefficients"),
+                    ("hecke-eigen", "d=-4", "inconclusive", None,
+                     "horizon 20 < 23")]
+
+
 def test_hecke_eigen_reports_the_first_bad_coefficient(capsys, tmp_path,
                                                        monkeypatch):
     real = cli.hecke_T
@@ -558,11 +573,10 @@ def _golden_record(check_id, instance, status, val=None, detail=None,
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_transcript(name, capsys, tmp_path, monkeypatch):
+def test_golden_transcript(name, capsys, tmp_path):
     # exit code, stdout, stderr and the report (minus ms) of one run of each
     # subcommand, key order included, pinned as the verifier prints them
     argv, code, out, err, config, rows, warnings = GOLDEN[name]
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     path = tmp_path / "r.json"
     assert run(argv + ["--json", str(path)], capsys) == (code, out, err)
     report = json.loads(path.read_text())
@@ -612,6 +626,19 @@ def test_low_precision_downgrades_to_inconclusive(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_low_precision_fail_is_inconclusive_with_a_suffix(capsys, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "class_number", lambda d: 2)
+    code, rows = fail_run(["gross-stark", "--p", "5", "--disc", "-4",
+                           "--prec", "5"], capsys, tmp_path)
+    assert code == 0
+    assert rows == [("gross-stark", "p=5 d=-4", "inconclusive", None,
+                     "class number formula fails: h(-4) = 2, (w/2) L(chi, 0) "
+                     "= 1 [low precision]")]
+    assert json.loads((tmp_path / "r.json").read_text())["warnings"] == [
+        "gross-stark p=5 d=-4: precision 5 < 6, result inconclusive"]
+
+
 # -- determinism and caching ------------------------------------------------------
 
 def test_reports_are_deterministic(capsys, tmp_path):
@@ -639,14 +666,6 @@ def test_cache_roundtrip(capsys, tmp_path):
     assert code == 0
     warm = json.loads(b.read_text())["meta"]["bernoulli_computed"]
     assert warm == 0
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv(CACHE_ENV, str(cache))
-    code, _, _ = run(["lambda", "--p", "5", "--prec", "6"], capsys)
-    assert code == 0
-    assert (cache / "bernoulli.json").exists()
 
 
 def _interp(cache, prec):

@@ -16,7 +16,7 @@ from test_precision import check_row
 def test_nu_k_on_T():
     # nu_k(T) = u^{k-1} - 1; at k = 2 that is exactly p
     for p in (3, 5, 7):
-        T = LambdaElement.variable(p, N=12)
+        T = LambdaElement(p, [0, 1], N=12)
         v = nu_k(T, 2)
         assert (v - p).is_zero_to_precision()
         assert v.valuation == 1
@@ -24,7 +24,7 @@ def test_nu_k_on_T():
 
 
 def test_nu_k_needs_an_int_weight():
-    T = LambdaElement.variable(5, N=12)
+    T = LambdaElement(5, [0, 1], N=12)
     for k in (Fraction(2), 2.0, PadicNumber.from_exact(5, 2, 12)):
         with pytest.raises(DomainError):
             nu_k(T, k)
@@ -55,7 +55,7 @@ def test_nu_k_declared_precision_survives_a_longer_truncation(p):
 
 def test_ring_arithmetic():
     p = 5
-    T = LambdaElement.variable(p, N=12)
+    T = LambdaElement(p, [0, 1], N=12)
     h = (T + 1) * (T - 1)
     want = T * T - 1
     for i in range(DEFAULT_TRUNCATION + 1):
@@ -65,15 +65,18 @@ def test_ring_arithmetic():
     g = T * Fraction(1, 2) + 3
     assert g.coeff(0).residue(4) == 3
     assert g.coeff(1).residue(4) == pow(2, -1, 5 ** 4)
+    g = 1 - T
+    assert g.coeff(0).residue(4) == 1
+    assert g.coeff(1).residue(4) == 5 ** 4 - 1
 
 
 def test_truncation_mismatch_rejected():
-    a = LambdaElement.variable(5, M=8, N=6)
-    b = LambdaElement.variable(5, M=16, N=6)
+    a = LambdaElement(5, [0, 1], 8, 6)
+    b = LambdaElement(5, [0, 1], 16, 6)
     with pytest.raises(DomainError):
         a + b
     with pytest.raises(DomainError):
-        LambdaElement.variable(3, N=6) * LambdaElement.variable(5, N=6)
+        LambdaElement(3, [0, 1], N=6) * LambdaElement(5, [0, 1], N=6)
 
 
 def test_epsilon_of_generator_is_one_plus_T():

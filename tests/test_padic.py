@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from grossstark import padic
+from grossstark.characters import is_fundamental_discriminant, kronecker
 from grossstark.errors import (DomainError, NoRootError, PrecisionError,
                                RamifiedError)
 from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
                               factorize, hensel_sqrt, is_prime, is_zero, plog,
                               teichmuller, v_p)
+from grossstark.regulator import class_number
 
 from test_precision import check_row
 
@@ -92,9 +94,12 @@ def test_exact_zero_vs_precision_zero():
     z = PadicNumber.zero(5)
     assert z.exact_zero
     assert z.valuation == math.inf
+    assert z.residue(3) == 0 and z.truncate(3) is z
+    assert z == 0 and z != 1 and z == PadicNumber.zero(5)
     pz = N(5, 5**12)  # valuation beyond recorded precision
     assert not pz.exact_zero
     assert pz.is_zero_to_precision()
+    assert pz != z and z != pz
     with pytest.raises(PrecisionError):
         (z + 3).residue(1)  # exact zero + scalar needs a precision context
     assert is_zero(z) and is_zero(pz) and not is_zero(N(5, 5))
@@ -461,6 +466,35 @@ def test_cornacchia_large_prime_powers_match_exhaustive_search():
     got = [cornacchia(D, m) for D, m in cases]
     assert got == [_brute_cornacchia(D, m) for D, m in cases]
     assert sum(sol is not None for sol in got) >= 10
+
+
+def test_cornacchia_is_primitive_exactly_at_the_order_of_p():
+    # every fundamental d with |d| < 1000 and every p <= 13 split in
+    # Q(sqrt(d)): a solution comes back exactly for the h <= h(d) that the
+    # order of P divides (P^h(d) is principal), and pi = (x + y sqrt(d))/2
+    # is primitive: its coordinates on the integral basis 1, sqrt(d)/2 or
+    # 1, (1 + sqrt(d))/2 have gcd 1
+    fields = 0
+    for D in range(3, 1000):
+        if not is_fundamental_discriminant(-D):
+            continue
+        hd = class_number(-D)
+        for p in (3, 5, 7, 11, 13):
+            if kronecker(-D, p) != 1:
+                continue
+            found = []
+            for h in range(1, hd + 1):
+                sol = cornacchia(D, p ** h)
+                if sol is None:
+                    continue
+                x, y = sol
+                assert x * x + D * y * y == 4 * p ** h and x > 0 and y > 0
+                a = x if D % 4 == 0 else x - y
+                assert a % 2 == 0 and math.gcd(a // 2, y) == 1, (D, p, h, sol)
+                found.append(h)
+            assert found and found == list(range(found[0], hd + 1, found[0]))
+            fields += 1
+    assert fields == 665
 
 
 @pytest.mark.parametrize("D, m", [

@@ -6,9 +6,9 @@ import pytest
 
 from grossstark import qexp
 from grossstark.characters import DirichletCharacter
-from grossstark.errors import (ConsistencyError, DomainError, PrecisionError)
+from grossstark.errors import ConsistencyError, DomainError, PrecisionError
 from grossstark.lfunctions import classical_L_at_nonpositive
-from grossstark.padic import is_zero, teichmuller
+from grossstark.padic import PadicNumber, is_zero, teichmuller
 from grossstark.qexp import (QExpansion, build_Fk, eisenstein,
                              eisenstein_two_char, hecke_T, hecke_U,
                              hida_surrogate, verify_up_relation)
@@ -61,6 +61,7 @@ def same_coeffs(got, want):
 
 def test_eisenstein_weight1_values():
     E = eisenstein(1, chi(-4), n_terms=50)
+    assert (E.weight, E.character.modulus, E.reliable_to) == (1, 4, 50)
     assert E.coeff(0) == Fraction(1, 4)  # L(chi_{-4}, 0) / 2
     # c(n) counts divisors 1 mod 4 minus divisors 3 mod 4
     for n in range(1, 51):
@@ -277,6 +278,15 @@ def test_build_Fk_constant_term_vanishes():
     assert F_top.coeff(0) == 0  # rational route: the cancellation is exact
 
 
+def test_build_Fk_checks_the_cancellation(monkeypatch):
+    # a Hida surrogate off by a factor 2 leaves c(0) = L_p/2 - L_p != 0
+    monkeypatch.setattr(qexp, "hida_surrogate",
+                        lambda *args: hida_surrogate(*args) * 2)
+    for p in (7, 5):  # inert and split branches
+        with pytest.raises(ConsistencyError, match="failed to cancel"):
+            build_Fk(3, chi(-4), p, n_q=60)
+
+
 def test_build_Fk_p_adic_chi_with_real_twist():
     # chi odd and not real, omega^(1-k) real: the two-character series still
     # needs a precision, since chi's values are p-adic
@@ -361,12 +371,49 @@ def test_build_Fk_first_coefficient_prediction():
     assert F.coeff(1) == want
 
 
-def test_dump_schema():
-    E = eisenstein(1, chi(-4), n_terms=8)
-    d = E.dump()
-    assert set(d) == {"weight", "character", "modulus", "coeffs", "reliable_to"}
-    assert d["weight"] == 1
-    assert d["modulus"] == 4
-    assert d["reliable_to"] == 8
-    assert d["coeffs"][0] == "1/4"
-    assert all(isinstance(s, str) for s in d["coeffs"])
+def _up_relation_with(monkeypatch, make_E, make_EJ, p=5, n_q=40):
+    """verify_up_relation(chi_-4, p)'s first discrepancy, E and E_J rebuilt.
+
+    make_E and make_EJ get the true coefficients and those of E, and return
+    the ones verify_up_relation reads.
+    """
+    def built(k, eta, support=(), n_terms=200, prec=None):
+        f = eisenstein(k, eta, support, n_terms, prec)
+        plain = list(eisenstein(k, eta, (), n_terms, prec).coeffs)
+        coeffs = (make_EJ if support else make_E)(list(f.coeffs), plain)
+        return QExpansion(f.weight, f.character, coeffs, f.prec)
+
+    monkeypatch.setattr(qexp, "eisenstein", built)
+    return verify_up_relation(chi(-4), p, n_q=n_q)["first_discrepancy"]
+
+
+def test_up_relation_reports_each_branch(monkeypatch):
+    # the shift law is a theorem, so only a wrong E or E_J reaches a branch;
+    # p = 5, 40 terms: horizon 8, and the composed law reads n <= 1
+    def same(coeffs, plain):
+        return coeffs
+
+    def unraised(coeffs, plain):
+        # E_J built without raising the modulus at p: E_J(0) = 0 != E(0)
+        return plain
+
+    def wrong_past_horizon(coeffs, plain):
+        # right to the horizon 8, so only U_5 E_J (c(10) -> q^2) sees it
+        coeffs[10] += 1
+        return coeffs
+
+    def wrong_c25(coeffs, plain):
+        coeffs[25] += 1
+        return coeffs
+
+    def no_digits(coeffs, plain):
+        # E_J known to no digit: branches 1 and 2 see nothing wrong, and the
+        # composed law (U_5 - 1)^2 E = 0 reads E alone
+        return [PadicNumber(5, 0, 0, 0)] * len(coeffs)
+
+    assert _up_relation_with(monkeypatch, same, same) is None
+    assert _up_relation_with(monkeypatch, same, unraised) == ("branch1", 0)
+    assert _up_relation_with(monkeypatch, same, wrong_past_horizon) == \
+        ("branch2", 2)
+    assert _up_relation_with(monkeypatch, wrong_c25, no_digits) == \
+        ("composed", 1)

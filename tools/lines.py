@@ -1,0 +1,219 @@
+"""Line-reach gate: every executable src/ line runs under tier-1 or is allowed.
+
+    python3 tools/lines.py
+
+Runs tier-1 in this interpreter under a stdlib `sys.settrace` line counter
+(no coverage package is needed) and prints each executable line of
+src/grossstark that never ran, as file:line, the function it is in, its
+text and, when it is on ALLOWED below, the reason it may stay unrun.  An
+ALLOWED entry names a file, a function (its qualified name, "<module>" at
+top level) and the stripped text of a line, and covers every unrun line
+that matches all three; an entry with no text covers the whole function.
+A line counts as executable when the compiled module has bytecode for it;
+a function's `def` line runs when the module is imported.  A line that
+runs only in a child interpreter, such as `__main__.py`, is not seen and
+counts as unrun.
+
+Exit codes: 0 when every unrun line is allowed and every ALLOWED entry
+still matches an unrun line; 1 when an unrun line is not allowed or an
+entry is stale (its line now runs or is gone); 2 when tier-1 fails.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "grossstark"
+
+NOT_IMPLEMENTED = "NotImplemented: the operand type is not supported"
+REPR = "__repr__: only read when debugging"
+IMMUTABLE = "immutability: __setattr__ refuses, __hash__ goes with __eq__"
+GUARD = "input guard: rejects a value outside the function's domain"
+CHILD = "child interpreter: runs only as python3 -m grossstark"
+
+# (file under src/grossstark, function, stripped line text or None for every
+# line of the function and the functions inside it, reason)
+ALLOWED = [
+    ("characters.py", "DirichletCharacter.__eq__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("characters.py", "DirichletCharacter.__mul__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("lambdaring.py", "LambdaElement.__add__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("lambdaring.py", "LambdaElement.__mul__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("padic.py", "PadicNumber.__eq__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("padic.py", "PadicNumber.__add__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("padic.py", "PadicNumber.__mul__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("padic.py", "PadicNumber.__truediv__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("padic.py", "PadicNumber.__pow__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("qexp.py", "QExpansion.__add__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("qexp.py", "QExpansion.__mul__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("walgebra.py", "Laurent._terms", "return None", NOT_IMPLEMENTED),
+    ("walgebra.py", "Laurent._combine",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("walgebra.py", "Laurent.__mul__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("walgebra.py", "Laurent.__eq__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("walgebra.py", "WElement.__add__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("walgebra.py", "WElement.__sub__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("walgebra.py", "WElement.__mul__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("walgebra.py", "WElement.__eq__",
+     "return NotImplemented", NOT_IMPLEMENTED),
+    ("lambdaring.py", "LambdaElement.__repr__", None, REPR),
+    ("padic.py", "PadicNumber.__repr__", None, REPR),
+    ("qexp.py", "QExpansion.__repr__", None, REPR),
+    ("regulator.py", "PUnitCertificate.__repr__", None, REPR),
+    ("walgebra.py", "Laurent.__repr__", None, REPR),
+    ("walgebra.py", "WElement.__repr__", None, REPR),
+    ("characters.py", "DirichletCharacter.__setattr__", None, IMMUTABLE),
+    ("lambdaring.py", "LambdaElement.__setattr__", None, IMMUTABLE),
+    ("padic.py", "PadicNumber.__setattr__", None, IMMUTABLE),
+    ("padic.py", "PadicNumber.__hash__", None, IMMUTABLE),
+    ("qexp.py", "QExpansion.__setattr__", None, IMMUTABLE),
+    ("walgebra.py", "Laurent.__setattr__", None, IMMUTABLE),
+    ("walgebra.py", "Laurent.__hash__", None, IMMUTABLE),
+    ("walgebra.py", "WElement.__setattr__", None, IMMUTABLE),
+    ("walgebra.py", "WElement.__hash__", None, IMMUTABLE),
+    ("characters.py", "_fold_discriminant",
+     'raise DomainError("zero discriminant")', GUARD),
+    ("characters.py", "DirichletCharacter.__mul__",
+     'raise DomainError("characters live at different primes")', GUARD),
+    ("characters.py", "_canonicalize",
+     'raise DomainError(f"{disc} is not a fundamental discriminant")', GUARD),
+    ("characters.py", "_canonicalize",
+     'raise DomainError("p divides the discriminant of an omega-carrying character")', GUARD),
+    ("characters.py", "_canonicalize",
+     'raise DomainError(f"forced zero at non-prime {q}")', GUARD),
+    ("characters.py", "BernoulliCache.number",
+     'raise DomainError("Bernoulli numbers need n >= 0")', GUARD),
+    ("characters.py", "gen_bernoulli",
+     'raise DomainError("gen_bernoulli needs n >= 1")', GUARD),
+    ("characters.py", "gen_bernoulli",
+     'raise PrecisionError("character is p-adic valued; a precision is required")', GUARD),
+    ("lambdaring.py", "LambdaElement.__init__",
+     'raise DomainError("exact coefficients need a target precision N")', GUARD),
+    ("padic.py", "PadicNumber.residue",
+     'raise PrecisionError(f"known only modulo {self.p}^{self.nabs}, need {M}")', GUARD),
+    ("padic.py", "PadicNumber.residue",
+     'raise DomainError("negative valuation has no integer residue")', GUARD),
+    ("padic.py", "PadicNumber.truncate",
+     'raise PrecisionError("cannot truncate upward")', GUARD),
+    ("padic.py", "PadicNumber.same_to",
+     'raise PrecisionError(f"difference known only modulo {self.p}^{d.nabs}")', GUARD),
+    ("padic.py", "PadicNumber.__truediv__",
+     'raise ZeroDivisionError("division by zero")', GUARD),
+    ("padic.py", "plog", 'raise DomainError("plog of zero")', GUARD),
+    ("padic.py", "plog",
+     'raise PrecisionError("plog needs at least 2 digits of the unit part")', GUARD),
+    ("padic.py", "teichmuller",
+     'raise DomainError(f"{a} is divisible by {p}")', GUARD),
+    ("padic.py", "angle_bracket",
+     'raise DomainError(f"{a} is divisible by {p}")', GUARD),
+    ("qexp.py", "eisenstein",
+     'raise DomainError("weight must be at least 1")', GUARD),
+    ("qexp.py", "eisenstein_two_char",
+     'raise DomainError("weight must be at least 1")', GUARD),
+    ("qexp.py", "hida_surrogate", "raise DegenerateInstanceError(", GUARD),
+    ("qexp.py", "hida_surrogate",
+     '"weight-%d Eisenstein constant term vanishes; surrogate undefined" % k)', GUARD),
+    ("qexp.py", "build_Fk", "raise DegenerateInstanceError(", GUARD),
+    ("qexp.py", "build_Fk",
+     '"L_p(chi^{-1} omega, 1-k) vanishes to precision; "', GUARD),
+    ("walgebra.py", "WAlgebra.from_lambda",
+     'raise DomainError("Lambda images need concrete scalars")', GUARD),
+    ("walgebra.py", "WElement.__mul__",
+     'raise DomainError("elements of different algebras")', GUARD),
+    ("walgebra.py", "hecke_t_image",
+     'raise DomainError("the y-carrying image lives in cases 2 and 3")', GUARD),
+    ("walgebra.py", "case1_det_identity",
+     'raise DomainError("case 1 identity")', GUARD),
+    ("__main__.py", "<module>", None, CHILD),
+]
+
+
+def executable_lines(path: Path) -> dict:
+    """{line: qualified name of the innermost function} for one source file."""
+    owner = {}
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        name = getattr(code, "co_qualname", code.co_name)  # 3.11 and later
+        for _, _, line in code.co_lines():
+            if line and (name == "<module>" or line != code.co_firstlineno):
+                owner[line] = name
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return owner
+
+
+def run_tier1() -> tuple[int, dict]:
+    """Run tier-1 here under the line counter; (exit code, {file: lines})."""
+    files = {str(p): set() for p in PACKAGE.glob("*.py")}
+
+    def local(frame, event, arg):
+        if event == "line":
+            files[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        seen = files.get(frame.f_code.co_filename)
+        if seen is None:
+            return None
+        seen.add(frame.f_lineno)
+        return local
+
+    sys.path.insert(0, str(ROOT / "src"))
+    import pytest
+    os.chdir(ROOT)
+    sys.settrace(tracer)
+    try:
+        code = pytest.main(["-q", "-x", "-p", "no:cacheprovider"])
+    finally:
+        sys.settrace(None)
+    return int(code), files
+
+
+def main() -> int:
+    code, ran = run_tier1()
+    if code != 0:
+        print(f"tier-1 fails (pytest exit {code})", file=sys.stderr)
+        return 2
+    used, bad = set(), 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        owner = executable_lines(path)
+        for n in sorted(set(owner) - ran[str(path)]):
+            fn, text = owner[n], lines[n - 1].strip()
+            entry = next((e for e in ALLOWED if e[0] == path.name
+                          and (e[1] == fn or e[2] is None
+                               and fn.startswith(e[1] + ".<locals>."))
+                          and e[2] in (None, text)), None)
+            if entry is None:
+                bad += 1
+            else:
+                used.add(entry)
+            print(f"{path.name}:{n}  {fn}  {text}"
+                  f"  [{entry[3] if entry else 'NOT ALLOWED'}]")
+    stale = [e for e in ALLOWED if e not in used]
+    for f, fn, text, _ in stale:
+        print(f"stale allow-list entry: {f}  {fn}  {text}")
+    print(f"{bad} unrun lines not allowed, {len(stale)} stale entries")
+    return 1 if bad or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -206,6 +206,40 @@ MUTANTS = [
      "                if h != half_w * rep.classical_value:\n",
      "                if False:\n",
      "drop the class number formula check"),
+    # branches that decide a check, each reached by a test that patches a
+    # dependency, never the function under test
+    ("cli.py",
+     '            status, val, detail = "inconclusive", None, str(exc)\n',
+     '            status, val, detail = "fail", None, str(exc)\n',
+     "report a check's PrecisionError as fail"),
+    ("cli.py",
+     '                detail = (detail or "") + " [low precision]"\n',
+     "                pass\n",
+     "drop the [low precision] suffix of a downgraded fail"),
+    ("qexp.py",
+     "        if not is_zero(lhs1.coeff(n) - EJ.coeff(n)):\n",
+     "        if False:\n",
+     "let the U_p shift law's branch 1 never fail"),
+    ("qexp.py",
+     "            if not is_zero(lhs2.coeff(n)):\n",
+     "            if False:\n",
+     "let the U_p shift law's branch 2 never fail"),
+    ("qexp.py",
+     "            if not is_zero(sq.coeff(n)):\n",
+     "            if False:\n",
+     "let the composed law (U_p - 1)^2 E = 0 never fail"),
+    ("qexp.py",
+     "    if not is_zero(c0):\n",
+     "    if False:\n",
+     "drop build_Fk's check that c(0) cancels"),
+    ("regulator.py",
+     "    if {v1, v2} != {0, h}:\n",
+     "    if False:\n",
+     "accept an embedding that does not separate the primes above p"),
+    ("padic.py",
+     "    if rest % D:\n",
+     "    if False:\n",
+     "let Cornacchia return b when (4m - b^2)/D is not an integer"),
 ]
 
 
