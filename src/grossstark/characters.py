@@ -115,8 +115,6 @@ class DirichletCharacter:
 
     @classmethod
     def quadratic(cls, d: int) -> "DirichletCharacter":
-        if not is_fundamental_discriminant(d):
-            raise DomainError(f"{d} is not a fundamental discriminant")
         return cls(d)
 
     @classmethod

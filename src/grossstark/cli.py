@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from functools import cache
+from itertools import count, islice
 
 from . import __version__
 from .characters import (BernoulliCache, DirichletCharacter,
@@ -87,6 +88,11 @@ class RunConfig:
             if d >= 0 or not is_fundamental_discriminant(d):
                 raise UsageError(
                     f"disc {d} is not a negative fundamental discriminant")
+            # hecke-eigen's T_l reads the q-expansion up to q^l
+            if (self.command == "hecke"
+                    and self.qexp_terms < (ell := eigen_primes(d)[-1])):
+                raise UsageError(f"qexp-terms must be at least {ell}, "
+                                 f"the tenth prime coprime to {d}")
         if self.command in ("interp", "gross-stark", "hecke") and not self.discs:
             raise UsageError(f"'{self.command}' needs at least one --disc")
         fw = (max(self.primes, default=0) * working_precision(self.prec)
@@ -296,6 +302,12 @@ def cmd_w_algebra(config: RunConfig):
             yield "walg-det", f"r={r} {mode}", idents
 
 
+def eigen_primes(d: int) -> list:
+    """The first ten primes l coprime to d, the T_l that hecke-eigen checks."""
+    return list(islice((ell for ell in count(2) if d % ell and is_prime(ell)),
+                       10))
+
+
 def cmd_hecke_check(config: RunConfig):
     for p in config.primes:
         for d in config.discs:
@@ -314,20 +326,14 @@ def cmd_hecke_check(config: RunConfig):
     for d in config.discs:
         chi = DirichletCharacter.quadratic(d)
 
-        def eigen(chi=chi):
+        def eigen(d=d, chi=chi):
             form = eisenstein(1, chi, n_terms=config.qexp_terms)
-            ell, count = 2, 0
-            while count < 10:
-                if chi.modulus % ell:
-                    lhs = hecke_T(ell, form)
-                    rhs = form.truncate(lhs.reliable_to) * (1 + chi(ell))
-                    for n in range(lhs.reliable_to + 1):
-                        if lhs.coeff(n) != rhs.coeff(n):
-                            return "fail", None, f"T_{ell} at q^{n}"
-                    count += 1
-                ell += 1
-                while not is_prime(ell):
-                    ell += 1
+            for ell in eigen_primes(d):
+                lhs = hecke_T(ell, form)
+                rhs = form.truncate(lhs.reliable_to) * (1 + chi(ell))
+                for n in range(lhs.reliable_to + 1):
+                    if lhs.coeff(n) != rhs.coeff(n):
+                        return "fail", None, f"T_{ell} at q^{n}"
             return "pass", None, "10 primes"
 
         yield "hecke-eigen", f"d={d}", eigen

@@ -149,11 +149,6 @@ def _scalar_inv(s):
 # ("eps", frozenset J) with J a nonempty proper-or-full subset of {1..r}
 
 
-def _monomial(mono):
-    """A basis monomial, with "pi" and "y" standing for their first powers."""
-    return (mono, 1) if mono in ("pi", "y") else mono
-
-
 def _degree(mono) -> int:
     kind, v = mono
     return len(v) if kind == "eps" else v
@@ -314,7 +309,7 @@ class WAlgebra:
     def element(self, data):
         coords = {}
         for mono, sc in data.items():
-            idx = self.index[_monomial(mono)]
+            idx = self.index[mono]
             coords[idx] = coords.get(idx, 0) + sc
         return WElement(self, coords)
 

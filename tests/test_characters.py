@@ -557,7 +557,8 @@ def test_character_equality_and_hash():
 
 
 def test_invalid_inputs():
-    with pytest.raises(DomainError):
-        DirichletCharacter.quadratic(-5)  # not fundamental
+    with pytest.raises(DomainError,
+                       match="-5 is not a fundamental discriminant"):
+        DirichletCharacter.quadratic(-5)
     with pytest.raises(DomainError):
         DirichletCharacter.teichmuller_power(4, 1)  # not an odd prime

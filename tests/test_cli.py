@@ -14,7 +14,7 @@ from grossstark.characters import BernoulliCache, bernoulli_number
 from grossstark.cli import (CONCLUSIVE_PRECISION, ReportBuilder, RunConfig,
                             UsageError, main)
 from grossstark.errors import (ConstructionError, DegenerateInstanceError,
-                               DomainError)
+                               DomainError, PrecisionError)
 from grossstark.qexp import QExpansion
 from grossstark.walgebra import WAlgebra
 
@@ -428,15 +428,34 @@ def test_hecke_up_reports_the_first_discrepancy(capsys, tmp_path, monkeypatch):
     assert rows[1][:3] == ("hecke-eigen", "d=-4", "pass")
 
 
-def test_hecke_eigen_below_its_tenth_prime_is_inconclusive(capsys, tmp_path):
-    # T_23 reads c(23), past the 20-term horizon: the check's PrecisionError
-    # is inconclusive at a conclusive --prec, and inconclusive is not failure
+def test_hecke_qexp_terms_floor_is_the_tenth_eigen_prime(capsys, tmp_path):
+    # T_l reads the q-expansion up to q^l, and l_10 = 31 > 4p = 20 for d = -4
+    assert cli.eigen_primes(-4) == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    assert cli.eigen_primes(-20)[-1] == 37
+    code, _, err = run(["hecke", "--p", "5", "--disc", "-4",
+                        "--qexp-terms", "30"], capsys)
+    assert code == 2
+    assert "qexp-terms must be at least 31, the tenth prime coprime to -4" \
+        in err
     code, rows = fail_run(["hecke", "--p", "5", "--disc", "-4",
-                           "--qexp-terms", "20"], capsys, tmp_path)
+                           "--qexp-terms", "31"], capsys, tmp_path)
     assert code == 0
-    assert rows == [("hecke-up", "p=5 d=-4", "pass", None, "5 coefficients"),
-                    ("hecke-eigen", "d=-4", "inconclusive", None,
-                     "horizon 20 < 23")]
+    assert rows == [("hecke-up", "p=5 d=-4", "pass", None, "7 coefficients"),
+                    ("hecke-eigen", "d=-4", "pass", None, "10 primes")]
+
+
+def test_check_precision_error_is_inconclusive(capsys, tmp_path,
+                                              monkeypatch):
+    # a PrecisionError at a conclusive --prec is inconclusive, not failure
+    def short(ell, form):
+        raise PrecisionError(f"T_{ell} past the horizon")
+
+    monkeypatch.setattr(cli, "hecke_T", short)
+    code, rows = fail_run(["hecke", "--p", "5", "--disc", "-4"],
+                          capsys, tmp_path)
+    assert code == 0
+    assert rows[1] == ("hecke-eigen", "d=-4", "inconclusive", None,
+                       "T_3 past the horizon")
 
 
 def test_hecke_eigen_reports_the_first_bad_coefficient(capsys, tmp_path,

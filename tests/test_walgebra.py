@@ -239,12 +239,12 @@ def test_case1_has_no_y():
 
 def test_element_api():
     alg = build_W(2, 2, r_an=2, L=L0, W=W0)
-    x = alg.element({"pi": Fraction(3), ("y", 2): Fraction(1, 2)})
-    assert coefficient(x, "pi") == 3
+    x = alg.element({("pi", 1): Fraction(3), ("y", 2): Fraction(1, 2)})
+    assert coefficient(x, ("pi", 1)) == 3
     assert coefficient(x, ("y", 2)) == Fraction(1, 2)
     assert coefficient(x, ("pi", 0)) == 0
     assert (x - x) == alg.zero()
-    assert x + 1 == alg.element({"pi": 3, ("y", 2): Fraction(1, 2),
+    assert x + 1 == alg.element({("pi", 1): 3, ("y", 2): Fraction(1, 2),
                                  ("pi", 0): 1})
     assert 1 - x == alg.one() + x * -1
     assert alg.one() == 1

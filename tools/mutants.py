@@ -198,6 +198,10 @@ MUTANTS = [
      '        if self.command in ("interp", "gross-stark") and fw > MAX_FW:\n',
      "        if False:\n",
      "drop the MAX_FW bound on F*W"),
+    ("cli.py",
+     "                    and self.qexp_terms < (ell := eigen_primes(d)[-1])):\n",
+     "                    and self.qexp_terms < (ell := eigen_primes(d)[-2])):\n",
+     "lower hecke's --qexp-terms floor from the tenth eigen prime to the ninth"),
     ("walgebra.py",
      "            if (not c.exact_zero if isinstance(c, PadicNumber) else c)})\n",
      "            if not is_zero(c)})\n",
@@ -224,10 +228,6 @@ MUTANTS = [
      "            if not is_zero(lhs2.coeff(n)):\n",
      "            if False:\n",
      "let the U_p shift law's branch 2 never fail"),
-    ("qexp.py",
-     "            if not is_zero(sq.coeff(n)):\n",
-     "            if False:\n",
-     "let the composed law (U_p - 1)^2 E = 0 never fail"),
     ("qexp.py",
      "    if not is_zero(c0):\n",
      "    if False:\n",
