@@ -21,7 +21,8 @@ import os
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, PrecisionError
-from .padic import PadicNumber, factorize, is_prime, teichmuller_lift
+from .padic import (Immutable, PadicNumber, factorize, is_prime,
+                    teichmuller_lift)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -95,7 +96,7 @@ def _fold_discriminant(D: int):
     return D0, zeros
 
 
-class DirichletCharacter:
+class DirichletCharacter(Immutable):
     """Immutable Dirichlet character in canonical factored form."""
 
     __slots__ = ("disc", "p", "om_exp", "zeros", "modulus")
@@ -109,9 +110,6 @@ class DirichletCharacter:
         # derived from the four fields above, stored because every value
         # tests gcd(a, modulus)
         object.__setattr__(self, "modulus", self.conductor * math.prod(zeros))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirichletCharacter is immutable")
 
     @classmethod
     def quadratic(cls, d: int) -> "DirichletCharacter":

@@ -347,7 +347,7 @@ def cmd_lambda_check(config: RunConfig):
             def check(p=p, x=x):
                 h = epsilon_char(x, p, M=M, N=N)
                 worst = None
-                for k in (1, 2, 3, 5, 1 + (p - 1)):
+                for k in dict.fromkeys((1, 2, 3, 5, 1 + (p - 1))):
                     got = nu_k(h, k)
                     want = angle_bracket(x, p, got.precision + 2) ** (k - 1)
                     diff = got - want

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, IndeterminateOrderError
-from .padic import PadicNumber, is_zero, plog, v_p
+from .padic import Immutable, PadicNumber, is_zero, plog, v_p
 
 DEFAULT_TRUNCATION = 16
 
@@ -32,7 +32,7 @@ def _log_u(p: int, N: int) -> PadicNumber:
     return plog(PadicNumber.from_exact(p, topological_generator(p), N))
 
 
-class LambdaElement:
+class LambdaElement(Immutable):
     """Polynomial in T of degree <= M with PadicNumber coefficients."""
 
     __slots__ = ("p", "M", "coeffs")
@@ -53,9 +53,6 @@ class LambdaElement:
         while len(fixed) < M + 1:
             fixed.append(PadicNumber.zero(p))
         object.__setattr__(self, "coeffs", tuple(fixed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaElement is immutable")
 
     @classmethod
     def constant(cls, p, c, M=DEFAULT_TRUNCATION, N=None):

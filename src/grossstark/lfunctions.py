@@ -424,14 +424,20 @@ def _probe(instance: LSeriesInstance, jets) -> dict:
 def analytic_invariant(instance: LSeriesInstance) -> LpReport:
     """The analytic invariant L_an(chi) = L_p^(r)(chi*omega, 0) / (r! L(chi,0) prod(1-chi(p))).
 
-    For r = 1 the deleted product is empty and L_an = L_p'(0)/L(chi, 0); for
-    r = 0 it reduces to L_p(0) over the classical value times the surviving
-    Euler factor, which the interpolation property forces to be 1.
+    For r = 1 the deleted product is empty and L_an = L_p'(0)/L(chi, 0), the
+    leading term only when L_p(0) vanishes to N digits (the exceptional
+    zero), else ConsistencyError; for r = 0 it reduces to L_p(0) over the
+    classical value times the surviving Euler factor, which the
+    interpolation property forces to be 1.
     """
     jets, d1 = _s0_jets(instance)
     L0 = _declared(instance.p, jets[0], instance.N)
     classic = classical_L_at_nonpositive(instance.chi, 0)
     if instance.r == 1:
+        if not L0.is_zero_to_precision():
+            raise ConsistencyError(
+                f"no exceptional zero: L_p(chi*omega, 0) has valuation "
+                f"{L0.valuation} < {instance.N}")
         lan = d1 / classic
     else:
         denom = classic

@@ -31,7 +31,20 @@ def v_p(x, p):
     return v
 
 
-class PadicNumber:
+class Immutable:
+    """Base of the value types: a slot is written once, in __init__, through
+    object.__setattr__; setting or deleting it afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class PadicNumber(Immutable):
     """Element of Q_p known to finite absolute precision.
 
     exact_zero marks the true zero (infinite precision).  A non-exact value
@@ -61,9 +74,6 @@ class PadicNumber:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "nabs", nabs)
         object.__setattr__(self, "exact_zero", exact_zero)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicNumber is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -133,11 +143,6 @@ class PadicNumber:
         if self.exact_zero or other.exact_zero:
             return self.exact_zero and other.exact_zero
         return (self.p, self.v, self.unit, self.nabs) == (other.p, other.v, other.unit, other.nabs)
-
-    def __hash__(self):
-        if self.exact_zero:
-            return hash((self.p, "zero"))
-        return hash((self.p, self.v, self.unit, self.nabs))
 
     def same_to(self, other, M):
         """True iff self - other has valuation >= M (both known that far)."""

@@ -15,10 +15,10 @@ from .characters import DirichletCharacter
 from .errors import (ConsistencyError, DegenerateInstanceError, DomainError,
                      PrecisionError)
 from .lfunctions import LSeriesInstance, classical_L_at_nonpositive
-from .padic import PadicNumber, is_zero
+from .padic import Immutable, PadicNumber, is_zero
 
 
-class QExpansion:
+class QExpansion(Immutable):
     """Truncated q-expansion: weight, nebencharacter, coefficients 0..reliable_to."""
 
     __slots__ = ("weight", "character", "coeffs", "prec")
@@ -28,9 +28,6 @@ class QExpansion:
         object.__setattr__(self, "character", character)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QExpansion is immutable")
 
     @property
     def reliable_to(self) -> int:
@@ -150,23 +147,16 @@ def eisenstein_two_char(k: int, eta: DirichletCharacter, psi: DirichletCharacter
     if eta.parity * psi.parity != (-1) ** k:
         raise DomainError("parity product does not match the weight")
     n = max(n_terms, 0)
-    rational = eta.is_rational and psi.is_rational
     etas = [0] + [eta(e, prec) for e in range(1, n + 1)]
-    if rational:
-        etas = [int(a) for a in etas]
-    coeffs = [0 if rational else Fraction(0)] * (n + 1)
+    coeffs = [Fraction(0)] * (n + 1)
     for d in range(1, n + 1):
         b = psi(d, prec)
         if is_zero(b):
             continue
-        if rational:
-            b = int(b)
         dk = d ** (k - 1)
         for e in range(1, n // d + 1):
             if not is_zero(etas[e]):
                 coeffs[d * e] += etas[e] * b * dk
-    if rational:
-        coeffs = [Fraction(c) for c in coeffs]
     return QExpansion(k, eta * psi, coeffs, prec)
 
 

@@ -21,13 +21,13 @@ from fractions import Fraction
 from .characters import kronecker, is_fundamental_discriminant
 from .errors import (ConsistencyError, DomainError, PrecisionError,
                      RamifiedError)
-from .padic import PadicNumber, cornacchia, hensel_sqrt, plog
+from .padic import Immutable, PadicNumber, cornacchia, hensel_sqrt, plog
 from .walgebra import det
 
 _W_MARGIN = 4
 
 
-class PUnitCertificate:
+class PUnitCertificate(Immutable):
     """A p-unit u = pi/pibar with the data needed to re-derive and audit it.
 
     pi = (x + y*sqrt(d))/2 has norm p^h, h minimal; w is the chosen square
@@ -57,9 +57,6 @@ class PUnitCertificate:
         o, ell = measure_parts(d, p, h, x, y, w)
         object.__setattr__(self, "o", o)
         object.__setattr__(self, "ell", ell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PUnitCertificate is immutable")
 
     def dump(self) -> dict:
         ell = self.ell

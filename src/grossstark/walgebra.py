@@ -31,10 +31,10 @@ from fractions import Fraction
 
 from .errors import ConstructionError, DomainError
 from .lambdaring import LambdaElement
-from .padic import PadicNumber, is_zero
+from .padic import Immutable, PadicNumber, is_zero
 
 
-class Laurent:
+class Laurent(Immutable):
     """Laurent polynomial over Q in the formal symbols L and W."""
 
     __slots__ = ("terms",)
@@ -46,9 +46,6 @@ class Laurent:
             if v:
                 cleaned[key] = v
         object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Laurent is immutable")
 
     @classmethod
     def const(cls, c):
@@ -119,9 +116,6 @@ class Laurent:
         if terms is None:
             return NotImplemented
         return self.terms == terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -372,7 +366,7 @@ class WAlgebra:
 _SCALARS = (int, Fraction, PadicNumber, Laurent)
 
 
-class WElement:
+class WElement(Immutable):
     """Element of a WAlgebra in coordinates over the monomial basis."""
 
     __slots__ = ("algebra", "coords")
@@ -383,9 +377,6 @@ class WElement:
         object.__setattr__(self, "coords", {
             i: c for i, c in coords.items()
             if (not c.exact_zero if isinstance(c, PadicNumber) else c)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WElement is immutable")
 
     def nonzero(self) -> bool:
         """True when some coordinate is nonzero to its precision."""
@@ -445,9 +436,6 @@ class WElement:
         if not isinstance(other, WElement):
             return NotImplemented
         return not (self - other).nonzero()
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.coords.items())))
 
     def __repr__(self):
         if not self.coords:

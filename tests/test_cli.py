@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grossstark import __version__, cli
+from grossstark import __version__, cli, lfunctions
 from grossstark.characters import BernoulliCache, bernoulli_number
 from grossstark.cli import (CONCLUSIVE_PRECISION, ReportBuilder, RunConfig,
                             UsageError, main)
@@ -328,6 +328,25 @@ def test_gross_stark_checks_the_class_number_formula(capsys, tmp_path,
     assert rows == [("gross-stark", "p=5 d=-4", "fail", None,
                      "class number formula fails: h(-4) = 2, "
                      "(w/2) L(chi, 0) = 1")]
+
+
+def test_gross_stark_checks_the_exceptional_zero(capsys, tmp_path,
+                                                 monkeypatch):
+    # L_p + 1 at every point keeps the finite differences and L_p'(0), but
+    # L_p(chi*omega, 0) no longer vanishes: Gross's formula has no hypothesis
+    real = lfunctions._series_jets
+
+    def shifted(chi, p, W, points):
+        return [([c[0] + 1, *c[1:]], good)
+                for c, good in real(chi, p, W, points)]
+
+    monkeypatch.setattr(lfunctions, "_series_jets", shifted)
+    code, rows = fail_run(["gross-stark", "--p", "5", "--disc", "-4"],
+                          capsys, tmp_path)
+    assert code == 1
+    assert rows == [("gross-stark", "p=5 d=-4", "fail", None,
+                     "no exceptional zero: L_p(chi*omega, 0) has valuation "
+                     "0 < 12")]
 
 
 def test_lambda_nu_compares_with_the_angle_bracket(capsys, tmp_path,

@@ -7,13 +7,17 @@ from fractions import Fraction
 import pytest
 
 from grossstark import padic
-from grossstark.characters import is_fundamental_discriminant, kronecker
+from grossstark.characters import (DirichletCharacter,
+                                   is_fundamental_discriminant, kronecker)
 from grossstark.errors import (DomainError, NoRootError, PrecisionError,
                                RamifiedError)
+from grossstark.lambdaring import LambdaElement
 from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
                               factorize, hensel_sqrt, is_prime, is_zero, plog,
                               teichmuller, v_p)
-from grossstark.regulator import class_number
+from grossstark.qexp import QExpansion
+from grossstark.regulator import class_number, find_p_unit
+from grossstark.walgebra import Laurent, build_W
 
 from test_precision import check_row
 
@@ -104,6 +108,35 @@ def test_exact_zero_vs_precision_zero():
         (z + 3).residue(1)  # exact zero + scalar needs a precision context
     assert is_zero(z) and is_zero(pz) and not is_zero(N(5, 5))
     assert is_zero(0) and is_zero(Fraction(0)) and not is_zero(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("make, hashable", [
+    (lambda: PadicNumber(5, 0, 3, 10), False),
+    (lambda: DirichletCharacter.quadratic(-4), True),
+    (lambda: LambdaElement.constant(5, 2, N=4), True),
+    (lambda: QExpansion(1, DirichletCharacter.quadratic(-4), [0, 1]), True),
+    (lambda: find_p_unit(-4, 5), True),
+    (lambda: Laurent.const(2), False),
+    (lambda: build_W(1, 1, r_an=1, L=Fraction(5, 3)).from_scalar(2), False),
+], ids=["PadicNumber", "DirichletCharacter", "LambdaElement", "QExpansion",
+        "PUnitCertificate", "Laurent", "WElement"])
+def test_value_types_are_immutable(make, hashable):
+    # every value type refuses set and delete and keeps its slots; the types
+    # whose == crosses types (PadicNumber(5, 0, 3, 10) == 3) are unhashable
+    x = make()
+    before = {s: getattr(x, s) for s in type(x).__slots__}
+    slot = type(x).__slots__[0]
+    message = f"^{type(x).__name__} is immutable$"
+    with pytest.raises(AttributeError, match=message):
+        setattr(x, slot, None)
+    with pytest.raises(AttributeError, match=message):
+        delattr(x, slot)
+    assert all(getattr(x, s) is v for s, v in before.items())
+    if hashable:
+        hash(x)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 def test_inverse():

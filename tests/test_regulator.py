@@ -218,9 +218,3 @@ def test_dump_roundtrip():
     assert res == cert.ell.residue(cert.ell.precision)
     # and the whole thing is JSON-serializable
     assert json.loads(json.dumps(d)) == d
-
-
-def test_immutability():
-    cert = find_p_unit(-4, 5)
-    with pytest.raises(AttributeError):
-        cert.h = 2

@@ -30,7 +30,6 @@ PACKAGE = ROOT / "src" / "grossstark"
 
 NOT_IMPLEMENTED = "NotImplemented: the operand type is not supported"
 REPR = "__repr__: only read when debugging"
-IMMUTABLE = "immutability: __setattr__ refuses, __hash__ goes with __eq__"
 GUARD = "input guard: rejects a value outside the function's domain"
 CHILD = "child interpreter: runs only as python3 -m grossstark"
 
@@ -80,15 +79,6 @@ ALLOWED = [
     ("regulator.py", "PUnitCertificate.__repr__", None, REPR),
     ("walgebra.py", "Laurent.__repr__", None, REPR),
     ("walgebra.py", "WElement.__repr__", None, REPR),
-    ("characters.py", "DirichletCharacter.__setattr__", None, IMMUTABLE),
-    ("lambdaring.py", "LambdaElement.__setattr__", None, IMMUTABLE),
-    ("padic.py", "PadicNumber.__setattr__", None, IMMUTABLE),
-    ("padic.py", "PadicNumber.__hash__", None, IMMUTABLE),
-    ("qexp.py", "QExpansion.__setattr__", None, IMMUTABLE),
-    ("walgebra.py", "Laurent.__setattr__", None, IMMUTABLE),
-    ("walgebra.py", "Laurent.__hash__", None, IMMUTABLE),
-    ("walgebra.py", "WElement.__setattr__", None, IMMUTABLE),
-    ("walgebra.py", "WElement.__hash__", None, IMMUTABLE),
     ("characters.py", "_fold_discriminant",
      'raise DomainError("zero discriminant")', GUARD),
     ("characters.py", "DirichletCharacter.__mul__",

@@ -240,6 +240,14 @@ MUTANTS = [
      "    if rest % D:\n",
      "    if False:\n",
      "let Cornacchia return b when (4m - b^2)/D is not an integer"),
+    ("lfunctions.py",
+     "        if not L0.is_zero_to_precision():\n",
+     "        if False:\n",
+     "let gross-stark run without the exceptional zero"),
+    ("padic.py",
+     "    def __delattr__(self, name):\n",
+     "    def _delattr(self, name):\n",
+     "let del through on every value type"),
 ]
 
 
