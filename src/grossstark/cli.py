@@ -51,6 +51,16 @@ MAX_P = 10 ** 5
 # timed, p = 3, d = -30011, N = 12, has F*W = 1.8e6 and takes 2.4 s)
 MAX_ABS_D = 10 ** 5
 MAX_FW = 2 * 10 ** 6
+# bounds on the count options, far above every workload call (--trials 30,
+# --qexp-terms up to 1000, --lambda-trunc 16).  w-algebra costs about 6 ms
+# a trial (1000 trials take 5.9 s), so MAX_TRIALS runs for about a minute
+MAX_TRIALS = 10 ** 4
+# 4 MAX_P, so every admitted p has an admitted hecke length: hecke --p 5
+# --disc -4 takes 1.6 s at 10^5 terms and 7.4 s (77 MB) at 4 * 10^5
+MAX_QEXP_TERMS = 4 * MAX_P
+# lambda grows about as M^1.5 (--p 5: 0.29 s at M = 512, 0.99 s at 1024,
+# 2.8 s at 2048); the three default primes take 3.6 s at 1024
+MAX_LAMBDA_TRUNC = 1024
 
 
 @dataclass(frozen=True)
@@ -73,10 +83,19 @@ class RunConfig:
         if self.command == "hecke" and self.qexp_terms < 4 * max(self.primes):
             raise UsageError(
                 f"qexp-terms must be at least 4p = {4 * max(self.primes)}")
+        if self.qexp_terms > MAX_QEXP_TERMS:
+            raise UsageError(f"qexp-terms = {self.qexp_terms} is above "
+                             f"MAX_QEXP_TERMS = {MAX_QEXP_TERMS}")
         if self.lambda_trunc < 1:
             raise UsageError("lambda-trunc must be at least 1")
+        if self.lambda_trunc > MAX_LAMBDA_TRUNC:
+            raise UsageError(f"lambda-trunc = {self.lambda_trunc} is above "
+                             f"MAX_LAMBDA_TRUNC = {MAX_LAMBDA_TRUNC}")
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise UsageError(
+                f"trials = {self.trials} is above MAX_TRIALS = {MAX_TRIALS}")
         for p in self.primes:
             if p > MAX_P:
                 raise UsageError(f"p = {p} is above MAX_P = {MAX_P}")

@@ -19,9 +19,12 @@ once at construction, and one reduction serves all three.  The basis is the
 powers up to the tops that no rule rewrites, then the proper eps-products.
 
 Every product of two basis monomials reduces to scalar * basis monomial, so
-the table is dense and exact.  Scalars are Fractions, PadicNumbers, or (in
-formal mode) Laurent polynomials over Q in the symbols L and W, letting the
-determinant identities be verified as polynomial identities.
+the table is dense and exact.  Scalars are Fractions or PadicNumbers.  In
+formal mode L and W are Laurent polynomials over Q in the symbols L and W,
+and they enter only through the rewrite rules' scalars: every other table
+scalar is the algebra's unit Fraction(1), so a coordinate stays a Fraction
+until a product meets a rule.  The determinant identities are then verified
+as polynomial identities in L and W.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ class Laurent(Immutable):
             return NotImplemented
         out = dict(self.terms)
         for k, v in terms.items():
-            out[k] = out.get(k, 0) + sign * v
+            if k in out:
+                out[k] = out[k] + v if sign > 0 else out[k] - v
+            else:
+                out[k] = v if sign > 0 else -v
         return Laurent(out)
 
     def __add__(self, other):
@@ -99,7 +105,8 @@ class Laurent(Immutable):
         for (a, b), v in self.terms.items():
             for (c, d), w in terms.items():
                 k = (a + c, b + d)
-                out[k] = out.get(k, 0) + v * w
+                x = v * w
+                out[k] = out[k] + x if k in out else x
         return Laurent(out)
 
     __rmul__ = __mul__
@@ -165,7 +172,9 @@ class WAlgebra:
         self.L = L
         self.W = W
         self.formal = isinstance(L, Laurent)
-        self._unit = one = Laurent.const(1) if self.formal else Fraction(1)
+        # the scalar of every table entry no rule rewrites, formal mode
+        # included; products skip multiplying by this object
+        self._unit = one = Fraction(1)
         full = ("eps", frozenset(range(1, r + 1)))
         # one block per case: its checks, its top pi- and y-powers and its
         # rewrite rules monomial -> (scalar, target), as in the module docstring
@@ -301,11 +310,8 @@ class WAlgebra:
         return len(self.basis)
 
     def element(self, data):
-        coords = {}
-        for mono, sc in data.items():
-            idx = self.index[mono]
-            coords[idx] = coords.get(idx, 0) + sc
-        return WElement(self, coords)
+        return WElement(self, {self.index[mono]: sc
+                               for mono, sc in data.items()})
 
     def zero(self):
         return WElement(self, {})
@@ -382,7 +388,8 @@ class WElement(Immutable):
         """True when some coordinate is nonzero to its precision."""
         return not all(map(is_zero, self.coords.values()))
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + other for sign 1, self - other for sign -1."""
         if isinstance(other, _SCALARS):
             other = self.algebra.from_scalar(other)
         if not isinstance(other, WElement):
@@ -391,8 +398,14 @@ class WElement(Immutable):
             raise DomainError("elements of different algebras")
         out = dict(self.coords)
         for i, c in other.coords.items():
-            out[i] = out.get(i, 0) + c
+            if i in out:
+                out[i] = out[i] + c if sign > 0 else out[i] - c
+            else:
+                out[i] = c if sign > 0 else -c
         return WElement(self.algebra, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -400,9 +413,7 @@ class WElement(Immutable):
         return WElement(self.algebra, {i: -c for i, c in self.coords.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, _SCALARS + (WElement,)):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -415,7 +426,7 @@ class WElement(Immutable):
             return NotImplemented
         if other.algebra is not self.algebra:
             raise DomainError("elements of different algebras")
-        table = self.algebra.table
+        table, unit = self.algebra.table, self.algebra._unit
         out = {}
         for i, a in self.coords.items():
             row = table[i]
@@ -424,18 +435,17 @@ class WElement(Immutable):
                 if entry is None:
                     continue
                 sc, k = entry
-                out[k] = out.get(k, 0) + a * b * sc
+                prod = a * b if sc is unit else a * b * sc
+                out[k] = out[k] + prod if k in out else prod
         return WElement(self.algebra, out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.from_scalar(
-                Laurent.const(other) if self.algebra.formal else Fraction(other))
-        if not isinstance(other, WElement):
+        diff = self._combine(other, -1)
+        if diff is NotImplemented:
             return NotImplemented
-        return not (self - other).nonzero()
+        return not diff.nonzero()
 
     def __repr__(self):
         if not self.coords:
@@ -461,10 +471,11 @@ def build_W(case, r, r_an=None, s=None, t=None, L=0, W=None) -> WAlgebra:
 def det(matrix):
     """Leibniz determinant of a square matrix over a commutative ring.
 
-    Entries need only +, * and unary -, so ints, Fractions, PadicNumbers,
+    Entries need only +, - and *, so ints, Fractions, PadicNumbers,
     Laurent polynomials and WElements all qualify.  Each term starts from
-    its first-row entry: no multiplicative identity is needed, and a p-adic
-    term carries exactly the precision of its factors.
+    its first-row entry and the sum from the identity permutation's term:
+    no multiplicative or additive identity is needed, and a p-adic term
+    carries exactly the precision of its factors.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -478,9 +489,12 @@ def det(matrix):
             term = term * matrix[i][perm[i]]
         inversions = sum(perm[i] > perm[j]
                          for i in range(n) for j in range(i + 1, n))
-        if inversions % 2:
-            term = -term
-        total = term if total is None else total + term
+        if total is None:
+            total = term  # the identity comes first
+        elif inversions % 2:
+            total = total - term
+        else:
+            total = total + term
     return total
 
 

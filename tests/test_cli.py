@@ -16,7 +16,7 @@ from grossstark.cli import (CONCLUSIVE_PRECISION, ReportBuilder, RunConfig,
 from grossstark.errors import (ConstructionError, DegenerateInstanceError,
                                DomainError, PrecisionError)
 from grossstark.qexp import QExpansion
-from grossstark.walgebra import WAlgebra
+from grossstark.walgebra import WAlgebra, build_W
 
 
 def run(args, capsys):
@@ -42,7 +42,7 @@ def test_config_validation_errors():
     with pytest.raises(UsageError):
         RunConfig("hecke", qexp_terms=10, discs=(-4,)).validate()
     for command in ("interp", "gross-stark", "lambda", "w-algebra"):
-        # only hecke reads --qexp-terms, so only hecke bounds it
+        # only hecke reads --qexp-terms, so only hecke has its 4p floor
         RunConfig(command, qexp_terms=10, discs=(-4,)).validate()
     with pytest.raises(UsageError):
         RunConfig("interp", discs=(-6,)).validate()   # not fundamental
@@ -119,6 +119,25 @@ def test_fw_above_max_fw_exits_2_before_the_series_engine():
                           prec=N).validate()
     # hecke runs no series engine, so F*W does not bound it
     RunConfig("hecke", primes=(3,), discs=(-30011,), prec=15).validate()
+
+
+@pytest.mark.parametrize("command, field, flag, bound", [
+    ("w-algebra", "trials", "--trials", "MAX_TRIALS"),
+    ("hecke", "qexp_terms", "--qexp-terms", "MAX_QEXP_TERMS"),
+    ("lambda", "lambda_trunc", "--lambda-trunc", "MAX_LAMBDA_TRUNC"),
+])
+def test_count_options_are_bounded(capsys, command, field, flag, bound):
+    # validate only at the bound itself: never run a check at these sizes
+    limit = getattr(cli, bound)
+    given = {"primes": (5,), "discs": (-4,)} if command == "hecke" else {}
+    RunConfig(command, **given, **{field: limit}).validate()
+    with pytest.raises(UsageError, match=f"above {bound} = {limit}"):
+        RunConfig(command, **given, **{field: limit + 1}).validate()
+    argv = [command, flag, str(limit + 1)]
+    argv += ["--p", "5", "--disc", "-4"] if command == "hecke" else []
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"is above {bound} = {limit}" in err
 
 
 def test_package_imports_without_sympy():
@@ -393,6 +412,33 @@ def test_walg_structure_checks_the_dimensions(capsys, tmp_path, monkeypatch):
     assert structure == [
         ("walg-structure", f"r={r}", "fail", None,
          f"dims {2 ** r + r}, {2 ** r + 2 * r - 1}") for r in (1, 2, 3)]
+
+
+def test_walg_det_formal_mode_is_symbolic(monkeypatch):
+    # each formal algebra carries L and W as symbols in its rule scalars, so
+    # its records check polynomial identities, not one numeric instance
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_W(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_W", recording)
+    config = RunConfig("w-algebra", trials=1)
+    for check_id, _, check in cli.cmd_w_algebra(config):
+        if check_id == "walg-det":
+            assert check()[0] == "pass"
+    formal = sorted(((a.case, a.r, a) for a in built if a.formal),
+                    key=lambda t: t[:2])
+    assert [t[:2] for t in formal] == [(c, r) for c in (1, 2, 3)
+                                       for r in (1, 2, 3)]
+    for case, r, alg in formal:
+        (lc,) = alg.eps_product().coords.values()
+        assert set(lc.terms) == {(1, -1 if case == 2 else 0)}
+        if case > 1:  # pi^r -> (W + 1)/W y^r, y^r -> W pi^(r+1)
+            (wc,) = (alg.pi(r) if case == 2 else alg.y(r)).coords.values()
+            assert set(wc.terms) == ({(0, 0), (0, -1)} if case == 2
+                                     else {(0, 1)})
 
 
 def test_walg_det_checks_each_residue(capsys, tmp_path, monkeypatch):

@@ -106,6 +106,10 @@ def test_exact_zero_vs_precision_zero():
     assert pz != z and z != pz
     with pytest.raises(PrecisionError):
         (z + 3).residue(1)  # exact zero + scalar needs a precision context
+    # an exact zero scalar needs none: the sum is the exact zero itself
+    assert z + 0 is z and 0 + z is z and z + Fraction(0) is z
+    with pytest.raises(PrecisionError):
+        z + 1
     assert is_zero(z) and is_zero(pz) and not is_zero(N(5, 5))
     assert is_zero(0) and is_zero(Fraction(0)) and not is_zero(Fraction(1, 5))
 

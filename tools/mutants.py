@@ -248,6 +248,39 @@ MUTANTS = [
      "    def __delattr__(self, name):\n",
      "    def _delattr(self, name):\n",
      "let del through on every value type"),
+    ("cli.py",
+     "        if self.trials > MAX_TRIALS:\n",
+     "        if False:\n",
+     "drop the MAX_TRIALS bound on --trials"),
+    ("cli.py",
+     "        if self.qexp_terms > MAX_QEXP_TERMS:\n",
+     "        if False:\n",
+     "drop the MAX_QEXP_TERMS bound on --qexp-terms"),
+    ("cli.py",
+     "        if self.lambda_trunc > MAX_LAMBDA_TRUNC:\n",
+     "        if False:\n",
+     "drop the MAX_LAMBDA_TRUNC bound on --lambda-trunc"),
+    # the W-algebra fast paths: unit scalars skipped, sums from the first term
+    ("walgebra.py",
+     "                prod = a * b if sc is unit else a * b * sc\n",
+     "                prod = a * b\n",
+     "drop every structure constant"),
+    ("cli.py",
+     "            L, W = Laurent.var_L(), Laurent.var_W()\n",
+     "            L, W = Laurent.const(5), Laurent.var_W()\n",
+     "formal L becomes a number"),
+    ("walgebra.py",
+     "                out[k] = out[k] + prod if k in out else prod\n",
+     "                out[k] = prod\n",
+     "let a product overwrite the coordinate it adds to"),
+    ("walgebra.py",
+     "                out[i] = out[i] + c if sign > 0 else out[i] - c\n",
+     "                out[i] = out[i] + c\n",
+     "let WElement subtraction add where both have a coordinate"),
+    ("walgebra.py",
+     "            total = total - term\n",
+     "            total = total + term\n",
+     "add det's odd-permutation terms"),
 ]
 
 
