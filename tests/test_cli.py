@@ -428,11 +428,9 @@ def test_walg_det_formal_mode_is_symbolic(monkeypatch):
     for check_id, _, check in cli.cmd_w_algebra(config):
         if check_id == "walg-det":
             assert check()[0] == "pass"
-    formal = sorted(((a.case, a.r, a) for a in built if a.formal),
-                    key=lambda t: t[:2])
-    assert [t[:2] for t in formal] == [(c, r) for c in (1, 2, 3)
-                                       for r in (1, 2, 3)]
-    for case, r, alg in formal:
+    formal = {(a.case, a.r): a for a in built if a.formal}
+    assert sorted(formal) == [(c, r) for c in (1, 2, 3) for r in (1, 2, 3)]
+    for (case, r), alg in formal.items():
         (lc,) = alg.eps_product().coords.values()
         assert set(lc.terms) == {(1, -1 if case == 2 else 0)}
         if case > 1:  # pi^r -> (W + 1)/W y^r, y^r -> W pi^(r+1)
