@@ -124,6 +124,10 @@ class RunConfig:
 
     @property
     def conclusive(self) -> bool:
+        # w-algebra never reads --prec, and hecke's quadratic characters
+        # give Fraction q-expansions: both compare exactly at any --prec
+        if self.command in ("w-algebra", "hecke"):
+            return True
         return self.prec >= CONCLUSIVE_PRECISION
 
     def echo(self) -> dict:

@@ -131,9 +131,11 @@ def nu_k(h: LambdaElement, k) -> PadicNumber:
     if k == 1:
         return h.coeff(0)
     p = h.p
-    t = Fraction(topological_generator(p)) ** (k - 1) - 1
-    t = PadicNumber.from_exact(p, t, v_p(t, p) * (h.M + 2) + 4)
-    v0 = t.valuation
+    # v_p(u^n - 1) = 1 + v_p(n) for u = 1 + p, p odd, n != 0 (lifting the
+    # exponent), so t is one modular power at the digits it keeps
+    v0 = 1 + v_p(k - 1, p)
+    e = v0 * (h.M + 2) + 4
+    t = PadicNumber(p, 0, pow(topological_generator(p), k - 1, p ** e) - 1, e)
     acc = PadicNumber.zero(p)
     for c in reversed(h.coeffs):
         acc = acc * t + c

@@ -271,6 +271,13 @@ def test_lambda_run(capsys):
     assert "lambda-normalize" in out
 
 
+def test_lambda_run_at_a_three_digit_prime(capsys):
+    # lambda-normalize specializes at k = 1 + p^3
+    code, out, _ = run(["lambda", "--p", "101"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "11 checks: 11 pass"
+
+
 def test_hecke_run(capsys, tmp_path):
     report_path = tmp_path / "r.json"
     code, out, _ = run(["hecke", "--p", "5", "--disc", "-4",
@@ -706,6 +713,27 @@ def test_low_precision_downgrades_to_inconclusive(capsys, tmp_path):
     assert report["warnings"]
     assert str(CONCLUSIVE_PRECISION) in report["warnings"][0]
     assert "warning" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["w-algebra", "--trials", "2"],
+    ["hecke", "--p", "5", "--disc", "-4", "--qexp-terms", "40"],
+])
+def test_exact_commands_are_conclusive_at_any_precision(capsys, tmp_path,
+                                                        argv):
+    # w-algebra never reads --prec and hecke's quadratic q-expansions are
+    # exact: at --prec 1 they pass, unwarned, with the default run's records
+    reports = []
+    for prec in ("1", str(RunConfig.prec)):
+        path = tmp_path / f"r{prec}.json"
+        code, _, err = run(argv + ["--prec", prec, "--json", str(path)],
+                           capsys)
+        assert (code, err) == (0, "")
+        reports.append(masked(json.loads(path.read_text())))
+    low, default = reports
+    assert low["warnings"] == []
+    assert {c["status"] for c in low["checks"]} == {"pass"}
+    assert low["checks"] == default["checks"]
 
 
 def test_low_precision_fail_is_inconclusive_with_a_suffix(capsys, tmp_path,

@@ -8,7 +8,7 @@ from grossstark.errors import DomainError, IndeterminateOrderError
 from grossstark.lambdaring import (DEFAULT_TRUNCATION, LambdaElement,
                                    epsilon_char, nu_k, pi_normalize,
                                    topological_generator, uniformizer)
-from grossstark.padic import PadicNumber, angle_bracket, plog
+from grossstark.padic import PadicNumber, angle_bracket, plog, v_p
 
 from test_precision import check_row
 
@@ -21,6 +21,27 @@ def test_nu_k_on_T():
         assert (v - p).is_zero_to_precision()
         assert v.valuation == 1
         assert nu_k(T, 1).exact_zero or nu_k(T, 1).is_zero_to_precision()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nu_k_matches_the_exact_power(p):
+    # nu_k(T) = u^{k-1} - 1 against the exact Fraction power: its residue to
+    # the declared (M + 1) v digits and its valuation v, at every k that
+    # lambda uses and the precision table's k = 0 and -2
+    M = 16
+    T = LambdaElement(p, [0, 1], M, N=400)
+    for k in (1, 2, 3, 5, p, 1 + p ** 2, 1 + p ** 3, 0, -2):
+        got = nu_k(T, k)
+        want = Fraction(topological_generator(p)) ** (k - 1) - 1
+        if k == 1:
+            assert got.exact_zero and want == 0
+            continue
+        v = v_p(want, p)
+        assert got.valuation == v, (k, got)
+        assert got.precision == (M + 1) * v, (k, got)
+        pe = p ** got.precision
+        assert got.residue(got.precision) == \
+            want.numerator * pow(want.denominator, -1, pe) % pe, (k, got)
 
 
 def test_nu_k_needs_an_int_weight():

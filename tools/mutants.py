@@ -55,6 +55,14 @@ MUTANTS = [
      "    cap = (h.M + 1) * v0\n",
      "    cap = (h.M + 3) * v0\n",
      "loosen the nu_k tail cap"),
+    ("lambdaring.py",
+     "    v0 = 1 + v_p(k - 1, p)\n",
+     "    v0 = v_p(k - 1, p)\n",
+     "drop the 1 + of nu_k's lifting-the-exponent valuation"),
+    ("lambdaring.py",
+     "    t = PadicNumber(p, 0, pow(topological_generator(p), k - 1, p ** e) - 1, e)\n",
+     "    t = PadicNumber(p, 0, pow(topological_generator(p), k, p ** e) - 1, e)\n",
+     "let nu_k raise u to k instead of k - 1"),
     ("lfunctions.py",
      "    check_to = min(instance.N, 3)\n",
      "    check_to = min(instance.N, 1)\n",
@@ -63,6 +71,10 @@ MUTANTS = [
      '        if status in ("pass", "fail") and not self.config.conclusive:\n',
      "        if False:\n",
      "drop the low-precision downgrade to inconclusive"),
+    ("cli.py",
+     '        if self.command in ("w-algebra", "hecke"):\n',
+     "        if False:\n",
+     "downgrade the exact w-algebra and hecke checks at low --prec"),
     # the a <-> F - a symmetry of the series engine
     ("lfunctions.py",
      "        scaled = [Fraction(2 * x * unit_inv % pm, p ** K) for x in total]\n",
@@ -177,6 +189,11 @@ MUTANTS = [
      "                reg = gross_regulator_rank1(cert)\n",
      "                reg = rep.l_an\n",
      "gross-stark takes its regulator from the L-function side"),
+    ("lfunctions.py",
+     "    return classical_L_at_nonpositive(chi.raise_modulus({p}), n, prec)\n",
+     "    return (_series_jets(chi.teichmuller_twist(-n, p), p, 8, [(n, 0)]), "
+     "classical_L_at_nonpositive(chi.raise_modulus({p}), n, prec))[1]\n",
+     "lstar calls the series engine (its value unchanged)"),
     # domain and cross-layer guards
     ("lambdaring.py",
      "    return n, LambdaElement(h.p, shifted, h.M - n)\n",

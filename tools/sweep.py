@@ -1,12 +1,14 @@
-"""Sweep `verify gross-stark` and `verify interp` over the whole small grid.
+"""Sweep `verify gross-stark`, `interp` and `lambda` over the whole small grid.
 
     python3 tools/sweep.py [--out SWEEP.json]
 
-Every negative fundamental discriminant d with |d| < 3000 and every odd
-prime p <= 13 split in Q(sqrt(d)), that is chi_d(p) = 1, at N = 12.  Each
-(command, p, d) is one `verify` call, made in this process through
-grossstark.cli.main with a JSON report of its own; a call that exits
-without a report, or with a nonzero code, counts as a non-pass.  A seeded subsample of the instances
+`gross-stark` and `interp` run at every negative fundamental discriminant
+d with |d| < 3000 and every odd prime p <= 13 split in Q(sqrt(d)), that
+is chi_d(p) = 1; `lambda` runs at every odd prime p <= 101.  All calls
+are at N = 12.  Each (command, p, d), or (lambda, p), is one `verify`
+call, made in this process through grossstark.cli.main with a JSON report
+of its own; a call that exits without a report, or with a nonzero code,
+counts as a non-pass.  A seeded subsample of the (p, d) instances
 also checks precision honesty: every digit that the N = 12 call of each
 public route on the gross-stark path declares must agree with the same
 call at N + 10.
@@ -40,12 +42,14 @@ from grossstark.characters import (DirichletCharacter,  # noqa: E402
                                    is_fundamental_discriminant, kronecker)
 from grossstark.lfunctions import (LSeriesInstance,  # noqa: E402
                                    analytic_invariant, kubota_leopoldt)
+from grossstark.padic import is_prime  # noqa: E402
 from grossstark.regulator import find_p_unit, gross_regulator_rank1  # noqa: E402
 
 BOUND = 3000  # every d with |d| < BOUND
 PRIMES = (3, 5, 7, 11, 13)
 PREC = 12
 COMMANDS = ("gross-stark", "interp")
+LAMBDA_PRIMES = tuple(p for p in range(3, 102, 2) if is_prime(p))
 HONESTY_SAMPLE = 40
 HONESTY_SEED = 20261018
 SLOWEST = 20
@@ -58,10 +62,11 @@ def instances() -> list:
             for p in PRIMES if kronecker(d, p) == 1]
 
 
-def verify(command: str, p: int, d: int, report_path: str):
-    """One in-process `verify` call: (exit code, report or None, ms)."""
-    argv = [command, "--p", str(p), "--disc", str(d), "--prec", str(PREC),
-            "--json", report_path]
+def verify(command: str, p: int, d, report_path: str):
+    """One in-process `verify` call, d None for lambda: (exit code, report
+    or None, ms)."""
+    argv = [command, "--p", str(p), *(() if d is None else ("--disc", str(d))),
+            "--prec", str(PREC), "--json", report_path]
     sink = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -98,27 +103,28 @@ def main() -> int:
                         help="where to write the results (default SWEEP.json)")
     args = parser.parse_args()
     grid = instances()
-    status = {command: Counter() for command in COMMANDS}
+    calls = ([(command, p, d) for p, d in grid for command in COMMANDS]
+             + [("lambda", p, None) for p in LAMBDA_PRIMES])
+    status = {command: Counter() for command in (*COMMANDS, "lambda")}
     non_pass, timings = [], []
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="grossstark-sweep-") as tmp:
-        for p, d in grid:
-            for command in COMMANDS:
-                report_path = os.path.join(tmp, f"{command}_{p}_{-d}.json")
-                rc, report, ms = verify(command, p, d, report_path)
-                timings.append({"command": command, "p": p, "d": d,
-                                "ms": round(ms, 1)})
-                checks = report["checks"] if report else []
-                for check in checks:
-                    status[command][check["status"]] += 1
-                    if check["status"] != "pass":
-                        non_pass.append({"command": command, "exit": rc,
-                                         **check})
-                if rc and all(c["status"] == "pass" for c in checks):
-                    # no report, or a failing exit that no check explains
-                    status[command][f"exit {rc}"] += 1
-                    non_pass.append({"command": command, "p": p, "d": d,
-                                     "exit": rc})
+        for i, (command, p, d) in enumerate(calls):
+            report_path = os.path.join(tmp, f"{i}.json")
+            rc, report, ms = verify(command, p, d, report_path)
+            timings.append({"command": command, "p": p, "d": d,
+                            "ms": round(ms, 1)})
+            checks = report["checks"] if report else []
+            for check in checks:
+                status[command][check["status"]] += 1
+                if check["status"] != "pass":
+                    non_pass.append({"command": command, "exit": rc,
+                                     **check})
+            if rc and all(c["status"] == "pass" for c in checks):
+                # no report, or a failing exit that no check explains
+                status[command][f"exit {rc}"] += 1
+                non_pass.append({"command": command, "p": p, "d": d,
+                                 "exit": rc})
     sweep_s = time.perf_counter() - t0
     sample = sorted(random.Random(HONESTY_SEED).sample(
         grid, min(HONESTY_SAMPLE, len(grid))))
@@ -131,10 +137,12 @@ def main() -> int:
         "command": "python3 tools/sweep.py",
         "domain": {"d": f"negative fundamental, |d| < {BOUND}",
                    "p": f"split in Q(sqrt(d)), p in {list(PRIMES)}",
+                   "lambda_p": f"every odd prime p <= {LAMBDA_PRIMES[-1]}",
                    "prec": PREC},
         "host": {"machine": platform.machine(),
                  "python": platform.python_version()},
         "instances": len(grid),
+        "lambda_instances": len(LAMBDA_PRIMES),
         "seconds": round(sweep_s, 1),
         "status": {command: dict(sorted(counts.items()))
                    for command, counts in status.items()},
@@ -148,7 +156,8 @@ def main() -> int:
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
-    print(f"{len(grid)} instances in {sweep_s:.0f} s: "
+    print(f"{len(grid)} (p, d) instances and {len(LAMBDA_PRIMES)} lambda "
+          f"primes in {sweep_s:.0f} s: "
           + "; ".join(f"{c} {dict(s)}" for c, s in status.items())
           + f"; honesty {len(sample) - len(contradicted)}/{len(sample)}")
     return 1 if non_pass or contradicted else 0
