@@ -19,7 +19,7 @@ from .errors import (ConsistencyError, ConstructionError,
 from .lambdaring import (DEFAULT_TRUNCATION, LambdaElement, epsilon_char,
                          nu_k, pi_normalize, topological_generator,
                          uniformizer)
-from .lfunctions import (LpReport, LSeriesInstance, analytic_invariant,
+from .lfunctions import (LSeriesInstance, analytic_invariant,
                          classical_L_at_nonpositive, kubota_leopoldt,
                          lp_derivative_at_0, lstar, order_probe)
 from .padic import (PadicNumber, angle_bracket, cornacchia, hensel_sqrt,
@@ -47,7 +47,7 @@ __all__ = [
     "DEFAULT_TRUNCATION", "LambdaElement", "epsilon_char", "nu_k",
     "pi_normalize", "topological_generator", "uniformizer",
     # L-functions
-    "LpReport", "LSeriesInstance", "analytic_invariant",
+    "LSeriesInstance", "analytic_invariant",
     "classical_L_at_nonpositive", "kubota_leopoldt", "lp_derivative_at_0",
     "lstar", "order_probe",
     # p-adics

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 from functools import cache
 from itertools import count, islice
 
@@ -36,7 +35,7 @@ from .lambdaring import epsilon_char, nu_k, pi_normalize, uniformizer
 from .lfunctions import (CONCLUSIVE_PRECISION, LSeriesInstance,
                          analytic_invariant, kubota_leopoldt, lstar,
                          working_precision)
-from .padic import PadicNumber, angle_bracket, is_prime, is_zero
+from .padic import Immutable, PadicNumber, angle_bracket, is_prime, is_zero
 from .qexp import eisenstein, hecke_T, verify_up_relation
 from .regulator import class_number, find_p_unit, gross_regulator_rank1
 from .walgebra import (Laurent, build_W, case1_det_identity,
@@ -59,23 +58,25 @@ MAX_TRIALS = 10 ** 4
 # --disc -4 takes 1.6 s at 10^5 terms and 7.4 s (77 MB) at 4 * 10^5
 MAX_QEXP_TERMS = 4 * MAX_P
 # lambda grows about as M^1.5 (--p 5: 0.29 s at M = 512, 0.99 s at 1024,
-# 2.8 s at 2048); the three default primes take 3.6 s at 1024
+# 2.8 s at 2048); the three default primes take 3.6 s at 1024.  lambda runs
+# at M >= N - 4, so this bounds its --prec too: --p 5 --prec 1028 takes 8.9 s
 MAX_LAMBDA_TRUNC = 1024
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Immutable):
     """Validated parameters of one verification run, with verify's defaults."""
 
-    command: str
-    primes: tuple = (3, 5, 7)
-    discs: tuple = ()
-    prec: int = 12
-    qexp_terms: int = 200
-    lambda_trunc: int = 16
-    trials: int = 100
-    json_path: str | None = None
-    cache_dir: str | None = None
+    __slots__ = ("command", "primes", "discs", "prec", "qexp_terms",
+                 "lambda_trunc", "trials", "json_path", "cache_dir")
+
+    # the one source of verify's defaults: build_parser reads __kwdefaults__
+    def __init__(self, command: str, *, primes=(3, 5, 7), discs=(),
+                 prec: int = 12, qexp_terms: int = 200, lambda_trunc: int = 16,
+                 trials: int = 100, json_path: str | None = None,
+                 cache_dir: str | None = None):
+        values = {**locals(), "primes": tuple(primes), "discs": tuple(discs)}
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
 
     def validate(self):
         if self.prec <= 0:
@@ -90,6 +91,10 @@ class RunConfig:
             raise UsageError("lambda-trunc must be at least 1")
         if self.lambda_trunc > MAX_LAMBDA_TRUNC:
             raise UsageError(f"lambda-trunc = {self.lambda_trunc} is above "
+                             f"MAX_LAMBDA_TRUNC = {MAX_LAMBDA_TRUNC}")
+        # lambda runs at M = N - 4 or more (cmd_lambda_check)
+        if self.command == "lambda" and self.prec - 4 > MAX_LAMBDA_TRUNC:
+            raise UsageError(f"prec - 4 = {self.prec - 4} is above "
                              f"MAX_LAMBDA_TRUNC = {MAX_LAMBDA_TRUNC}")
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
@@ -132,8 +137,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The fields in order, minus json_path, as the report shows them."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self)
-                  if f.name != "json_path")
+        values = ((name, getattr(self, name)) for name in self.__slots__
+                  if name != "json_path")
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
@@ -243,14 +248,13 @@ def cmd_gross_stark(config: RunConfig):
                 # takes seconds: search first
                 cert = find_p_unit(d, p, N=config.prec)
                 instance = LSeriesInstance(p, chi, config.prec)
-                rep = analytic_invariant(instance)
+                lan, classical = analytic_invariant(instance)
                 # Dirichlet's class number formula h(d) = (w/2) L(chi_d, 0)
                 h, half_w = class_number(d), {-3: 3, -4: 2}.get(d, 1)
-                if h != half_w * rep.classical_value:
+                if h != half_w * classical:
                     raise ConsistencyError(
                         f"class number formula fails: h({d}) = {h}, "
-                        f"(w/2) L(chi, 0) = {half_w * rep.classical_value}")
-                lan = rep.l_an
+                        f"(w/2) L(chi, 0) = {half_w * classical}")
                 reg = gross_regulator_rank1(cert)
                 diff = lan - reg
                 target = config.prec - 4
@@ -363,7 +367,10 @@ def cmd_hecke_check(config: RunConfig):
 
 
 def cmd_lambda_check(config: RunConfig):
-    N, M = config.prec, config.lambda_trunc
+    # --lambda-trunc is a floor: nu_k declares at most (M + 1) v_p(u^(k-1) - 1)
+    # digits, M + 1 at k = 2, and lambda-nu compares N - 3 of them
+    N = config.prec
+    M = max(config.lambda_trunc, N - 4)
     for p in config.primes:
         units = [x for x in range(2, 40) if x % p][:10]
         for x in units:
@@ -415,27 +422,28 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig.__init__.__kwdefaults__
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run batches of Gross-Stark verification checks.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--p", type=int, action="append", dest="primes",
                         help="prime(s) p; default "
-                        f"{' '.join(map(str, RunConfig.primes))} (repeatable)")
+                        f"{' '.join(map(str, defaults['primes']))} (repeatable)")
     parser.add_argument("--disc", type=int, action="append", default=[],
                         dest="discs", metavar="D",
                         help="negative fundamental discriminant (repeatable)")
-    parser.add_argument("--prec", type=int, default=RunConfig.prec,
+    parser.add_argument("--prec", type=int, default=defaults["prec"],
                         metavar="N",
                         help="p-adic working precision (default %(default)s)")
-    parser.add_argument("--qexp-terms", type=int, default=RunConfig.qexp_terms,
-                        metavar="NQ",
+    parser.add_argument("--qexp-terms", type=int,
+                        default=defaults["qexp_terms"], metavar="NQ",
                         help="q-expansion length (default %(default)s)")
     parser.add_argument("--lambda-trunc", type=int,
-                        default=RunConfig.lambda_trunc, metavar="M",
-                        help="Lambda-ring truncation order "
-                        "(default %(default)s)")
-    parser.add_argument("--trials", type=int, default=RunConfig.trials,
+                        default=defaults["lambda_trunc"], metavar="M",
+                        help="Lambda-ring truncation floor, raised to "
+                        "N - 4 for lambda (default %(default)s)")
+    parser.add_argument("--trials", type=int, default=defaults["trials"],
                         metavar="K", help="random matrix trials for w-algebra "
                         "(default %(default)s)")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
@@ -451,9 +459,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = RunConfig(**{**vars(args),
-                          "primes": tuple(args.primes or RunConfig.primes),
-                          "discs": tuple(args.discs)})
+    # an option left unset (None) takes RunConfig's default
+    config = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
     try:
         config.validate()
     except UsageError as exc:

@@ -59,13 +59,13 @@ taken at the highest order among the evaluation points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter, bernoulli_number, gen_bernoulli
 from .errors import (ConsistencyError, DomainError, PoleError,
                      UnsupportedPoleError)
-from .padic import PadicNumber, is_prime, plog, teichmuller_lift, v_p
+from .padic import (Immutable, PadicNumber, is_prime, plog, teichmuller_lift,
+                    v_p)
 
 _MARGIN = 8
 CONCLUSIVE_PRECISION = 6  # below this N no pass or fail is conclusive
@@ -76,8 +76,7 @@ def working_precision(N: int) -> int:
     return N + _MARGIN
 
 
-@dataclass(frozen=True)
-class LSeriesInstance:
+class LSeriesInstance(Immutable):
     """A (p, chi) pair with working precision, plus the Euler-split data.
 
     R = {p} when chi(p) = 1 (the exceptional-zero case, r = 1) and
@@ -85,17 +84,18 @@ class LSeriesInstance:
     one element.
     """
 
-    p: int
-    chi: DirichletCharacter
-    N: int = 12
+    __slots__ = ("p", "chi", "N")
 
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise DomainError(f"p must be an odd prime, got {self.p}")
-        if not self.chi.is_odd:
+    def __init__(self, p: int, chi: DirichletCharacter, N: int = 12):
+        if p < 3 or not is_prime(p):
+            raise DomainError(f"p must be an odd prime, got {p}")
+        if not chi.is_odd:
             raise DomainError("chi must be odd")
-        if self.N < 1:
+        if N < 1:
             raise DomainError("precision N must be positive")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "N", N)
 
     @property
     def chi_at_p(self) -> Fraction:
@@ -113,19 +113,6 @@ class LSeriesInstance:
     @property
     def r(self) -> int:
         return len(self.R)
-
-
-@dataclass(frozen=True)
-class LpReport:
-    """Everything analytic_invariant learned about one instance."""
-
-    value_at_0: PadicNumber
-    derivative_at_0: PadicNumber
-    classical_value: object
-    l_an: PadicNumber
-    r: int
-    r_an_lower_bound: int
-    precision: int
 
 
 # -- exact side ---------------------------------------------------------
@@ -391,14 +378,9 @@ def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
     ord >= j; it never proves vanishing.  With N < CONCLUSIVE_PRECISION the
     report declines to draw a conclusive line.
     """
-    [(jets, _)] = _series_jets(instance.chi, instance.p,
-                               working_precision(instance.N), [(0, max_r)])
-    return _probe(instance, jets)
-
-
-def _probe(instance: LSeriesInstance, jets) -> dict:
-    """order_probe's report from the s = 0 jets 0..max_r (unused when N < 2)."""
     N, p = instance.N, instance.p
+    [(jets, _)] = _series_jets(instance.chi, p, working_precision(N),
+                               [(0, max_r)])
     if N < 2:
         return {"order_lower_bound": 0, "coefficient_valuations": [],
                 "precision": N, "conclusive": False,
@@ -421,36 +403,22 @@ def _probe(instance: LSeriesInstance, jets) -> dict:
     }
 
 
-def analytic_invariant(instance: LSeriesInstance) -> LpReport:
-    """The analytic invariant L_an(chi) = L_p^(r)(chi*omega, 0) / (r! L(chi,0) prod(1-chi(p))).
+def analytic_invariant(instance: LSeriesInstance) -> tuple:
+    """(L_an, L(chi, 0)) with L_an = L_p'(chi*omega, 0) / L(chi, 0), for r = 1.
 
-    For r = 1 the deleted product is empty and L_an = L_p'(0)/L(chi, 0), the
-    leading term only when L_p(0) vanishes to N digits (the exceptional
-    zero), else ConsistencyError; for r = 0 it reduces to L_p(0) over the
-    classical value times the surviving Euler factor, which the
-    interpolation property forces to be 1.
+    L_an is the leading term only when L_p(0) vanishes to N digits (the
+    exceptional zero), else ConsistencyError.  r = 0 raises DomainError: its
+    statement L_p(chi*omega, 0) = L*(chi, 0) is the interpolation property
+    at n = 0.
     """
+    if instance.r != 1:
+        raise DomainError(
+            f"analytic_invariant needs r = 1, got r = {instance.r}")
     jets, d1 = _s0_jets(instance)
     L0 = _declared(instance.p, jets[0], instance.N)
+    if not L0.is_zero_to_precision():
+        raise ConsistencyError(
+            f"no exceptional zero: L_p(chi*omega, 0) has valuation "
+            f"{L0.valuation} < {instance.N}")
     classic = classical_L_at_nonpositive(instance.chi, 0)
-    if instance.r == 1:
-        if not L0.is_zero_to_precision():
-            raise ConsistencyError(
-                f"no exceptional zero: L_p(chi*omega, 0) has valuation "
-                f"{L0.valuation} < {instance.N}")
-        lan = d1 / classic
-    else:
-        denom = classic
-        for _ in instance.Rprime:
-            denom = denom * (1 - instance.chi_at_p)
-        lan = L0 / denom
-    probe = _probe(instance, jets)
-    return LpReport(
-        value_at_0=L0,
-        derivative_at_0=d1,
-        classical_value=classic,
-        l_an=lan,
-        r=instance.r,
-        r_an_lower_bound=probe["order_lower_bound"],
-        precision=instance.N,
-    )
+    return d1 / classic, classic

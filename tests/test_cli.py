@@ -140,13 +140,27 @@ def test_count_options_are_bounded(capsys, command, field, flag, bound):
     assert f"is above {bound} = {limit}" in err
 
 
+def test_lambda_prec_is_bounded_through_max_lambda_trunc(capsys):
+    # validate only at the edge: lambda runs at M = N - 4, never start it
+    edge = cli.MAX_LAMBDA_TRUNC + 4
+    RunConfig("lambda", prec=edge).validate()
+    with pytest.raises(UsageError, match=f"prec - 4 = {edge - 3} is above "
+                       f"MAX_LAMBDA_TRUNC = {cli.MAX_LAMBDA_TRUNC}"):
+        RunConfig("lambda", prec=edge + 1).validate()
+    RunConfig("w-algebra", prec=edge + 1).validate()  # only lambda builds M
+    code, out, err = run(["lambda", "--prec", str(edge + 1)], capsys)
+    assert (code, out) == (2, "")
+    assert "MAX_LAMBDA_TRUNC" in err
+
+
 def test_package_imports_without_sympy():
-    # a fresh interpreter: nothing in the package may pull sympy back in
+    # a fresh interpreter: nothing in the package may pull sympy back in,
+    # nor dataclasses (the value types share padic.Immutable)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import grossstark, grossstark.cli, sys; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'sympy'))")
+            "if m.split('.')[0] in ('sympy', 'dataclasses')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -276,6 +290,25 @@ def test_lambda_run_at_a_three_digit_prime(capsys):
     code, out, _ = run(["lambda", "--p", "101"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "11 checks: 11 pass"
+
+
+def test_lambda_nu_declares_its_target_digits(capsys, monkeypatch):
+    # --lambda-trunc is a floor: at the default M = 16, nu_k would declare
+    # only M + 1 = 17 digits at k = 2, short of the N - 3 = 37 compared
+    N, declared = 40, []
+    real = cli.nu_k
+
+    def recorded(h, k):
+        got = real(h, k)
+        if k != 1:
+            declared.append((k, got.precision))
+        return got
+
+    monkeypatch.setattr(cli, "nu_k", recorded)
+    code, out, _ = run(["lambda", "--p", "5", "--prec", str(N)], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "11 checks: 11 pass")
+    assert {k for k, _ in declared} == {2, 3, 5, 26, 126}
+    assert min(prec for _, prec in declared) >= N - 3
 
 
 def test_hecke_run(capsys, tmp_path):
@@ -724,7 +757,7 @@ def test_exact_commands_are_conclusive_at_any_precision(capsys, tmp_path,
     # w-algebra never reads --prec and hecke's quadratic q-expansions are
     # exact: at --prec 1 they pass, unwarned, with the default run's records
     reports = []
-    for prec in ("1", str(RunConfig.prec)):
+    for prec in ("1", str(RunConfig(argv[0]).prec)):
         path = tmp_path / f"r{prec}.json"
         code, _, err = run(argv + ["--prec", prec, "--json", str(path)],
                            capsys)

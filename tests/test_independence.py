@@ -1,9 +1,9 @@
 """The two sides of an identity share only inputs that a third check guards.
 
-Each side of one `gross-stark` and one `interp` check runs under
-`sys.setprofile` and records the `src/` functions it calls.  The functions
-both sides call must be exactly the committed shared inputs below, and
-each names the tier-1 test that checks it against something neither side
+Each side of one `gross-stark`, one `interp` and one `lambda-nu` check
+runs under `sys.setprofile` and records the `src/` functions it calls.  The
+functions both sides call must be exactly the committed shared inputs
+below, and each names the tier-1 test that checks it against something neither side
 computes.  A side that starts routing through the other's code (the series
 engine, the p-unit search) adds names to the intersection and fails here.
 """
@@ -19,8 +19,10 @@ import pytest
 import grossstark
 from grossstark import characters, padic
 from grossstark.characters import BernoulliCache, DirichletCharacter
+from grossstark.lambdaring import epsilon_char, nu_k
 from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
                                    kubota_leopoldt, lstar)
+from grossstark.padic import angle_bracket
 from grossstark.regulator import find_p_unit, gross_regulator_rank1
 
 SRC = os.path.dirname(os.path.abspath(characters.__file__))
@@ -65,8 +67,6 @@ GUARDS = {
         "test_padic::test_from_exact_matches_the_oracle",
     "padic.PadicNumber.residue":
         "test_padic::test_from_exact_matches_the_oracle",
-    "padic.PadicNumber.valuation":
-        "test_padic::test_from_exact_and_residue",
     "padic.PadicNumber.__mul__":
         "test_padic::test_multiplication_precision_rule",
     "padic.PadicNumber.is_zero_to_precision":
@@ -84,8 +84,7 @@ SHARED = {
         "characters.kronecker", "padic.PadicNumber.__init__",
         "padic.PadicNumber.__mul__", "padic.PadicNumber.from_exact",
         "padic.PadicNumber.is_zero_to_precision", "padic.PadicNumber.residue",
-        "padic.PadicNumber.valuation", "padic.factorize", "padic.is_prime",
-        "padic.plog", "padic.v_p"},
+        "padic.factorize", "padic.is_prime", "padic.plog", "padic.v_p"},
     "interp": {
         "characters.BernoulliCache.number", "characters.bernoulli_number",
         "characters._bernoulli_range", "characters._bernoulli_table_valid",
@@ -99,10 +98,22 @@ SHARED = {
         "characters._canonicalize", "characters._fold_discriminant",
         "characters._squarefree", "characters.is_fundamental_discriminant",
         "characters.kronecker", "padic.factorize", "padic.is_prime"},
+    "lambda-nu": {
+        "padic.PadicNumber.__init__", "padic.PadicNumber.from_exact",
+        "padic.is_prime", "padic.v_p"},
 }
 
 P, D, N, S = 5, -4, 12, -2
 CHI = DirichletCharacter.quadratic(D)
+# lambda-nu at x = 2 over the k it reads at p = 5, at cli's M = max(16, N - 4);
+# nu_k declares N digits at each k here, and cli asks <x> for 2 more
+X, M, KS = 2, 16, (1, 2, 3, 5)
+
+
+def _nu_of_epsilon():
+    h = epsilon_char(X, P, M=M, N=N)
+    return [nu_k(h, k) for k in KS]
+
 
 # check -> its two sides, each a call made the way cli makes it
 SIDES = {
@@ -112,6 +123,9 @@ SIDES = {
     "interp": (
         lambda: kubota_leopoldt(LSeriesInstance(P, CHI, N), S),
         lambda: lstar(CHI.teichmuller_twist(S, P), S, P, prec=N + 4)),
+    "lambda-nu": (
+        _nu_of_epsilon,
+        lambda: [angle_bracket(X, P, N + 2) ** (k - 1) for k in KS]),
 }
 
 

@@ -144,6 +144,10 @@ def test_order_probe():
     # low precision: probe declines to conclude
     weak = order_probe(LSeriesInstance(5, chi(-4), 4))
     assert weak["conclusive"] is False
+    # below N = 2 there is no tolerance to probe with
+    tiny = order_probe(LSeriesInstance(5, chi(-4), 1))
+    assert (tiny["order_lower_bound"], tiny["coefficient_valuations"],
+            tiny["conclusive"]) == (0, [], False)
 
 
 @pytest.mark.parametrize("vals, bound, conclusive", [
@@ -167,20 +171,24 @@ def test_order_probe_tolerance_is_n_minus_2(monkeypatch, vals, bound,
 
 def test_analytic_invariant_rank1():
     inst = LSeriesInstance(5, chi(-4), 12)
-    rep = analytic_invariant(inst)
-    assert rep.r == 1
-    assert rep.classical_value == Fraction(1, 2)
+    l_an, classical = analytic_invariant(inst)
+    assert inst.r == 1
+    assert classical == Fraction(1, 2)
     # L_an = L_p'(0) / L(chi, 0) = 2 L_p'(0)
-    assert rep.l_an.residue(12) == (2 * 1352422578 * 5) % 5 ** 12
-    assert rep.value_at_0.is_zero_to_precision()
+    assert l_an.residue(12) == (2 * 1352422578 * 5) % 5 ** 12
 
 
-def test_analytic_invariant_rank0_is_one():
-    # r = 0: L_p(0)/(L(chi,0) prod(1-chi(p))) = 1 + O(p^N-ish)
+def test_analytic_invariant_rank0_raises_domain_error(monkeypatch):
+    # r = 0 (7 is inert in Q(i)): L_p(0) = L*(chi, 0) is the interpolation
+    # property, not a leading term; refused before the series engine runs
+    def unbuilt(*args):
+        raise AssertionError("the series engine must not run")
+
+    monkeypatch.setattr(lfunctions, "_series_jets", unbuilt)
     inst = LSeriesInstance(7, chi(-4), 12)
-    rep = analytic_invariant(inst)
-    assert rep.r == 0
-    assert (rep.l_an - 1).valuation >= 8
+    assert inst.r == 0
+    with pytest.raises(DomainError, match="r = 1"):
+        analytic_invariant(inst)
 
 
 def test_analytic_invariant_makes_four_series_passes(monkeypatch):
@@ -291,15 +299,13 @@ def test_derivative_tolerance_is_min_of_m_minus_1_and_3(monkeypatch):
             fn(inst)
 
 
-@pytest.mark.parametrize("p,d", [(5, -4), (7, -4)])
+@pytest.mark.parametrize("p,d", [(5, -4)])
 def test_analytic_invariant_matches_public_routes(p, d):
-    # rank 1 (5 splits in Q(i)) and rank 0 (7 is inert)
+    # rank 1 only: the r = 0 statement is interp's n = 0 check
     inst = LSeriesInstance(p, chi(d), 12)
-    rep = analytic_invariant(inst)
-    assert rep.r == (1 if p == 5 else 0)
-    assert rep.value_at_0 == kubota_leopoldt(inst, 0)
-    assert rep.derivative_at_0 == lp_derivative_at_0(inst)
-    assert rep.r_an_lower_bound == order_probe(inst, 1)["order_lower_bound"]
+    l_an, classical = analytic_invariant(inst)
+    assert classical == classical_L_at_nonpositive(inst.chi, 0)
+    assert l_an == lp_derivative_at_0(inst) / classical
 
 
 # -- series engine on residues mod p^M ------------------------------------

@@ -9,9 +9,11 @@ import pytest
 from grossstark import padic
 from grossstark.characters import (DirichletCharacter,
                                    is_fundamental_discriminant, kronecker)
+from grossstark.cli import RunConfig
 from grossstark.errors import (DomainError, NoRootError, PrecisionError,
                                RamifiedError)
 from grossstark.lambdaring import LambdaElement
+from grossstark.lfunctions import LSeriesInstance
 from grossstark.padic import (PadicNumber, angle_bracket, cornacchia,
                               factorize, hensel_sqrt, is_prime, is_zero, plog,
                               teichmuller, v_p)
@@ -122,8 +124,11 @@ def test_exact_zero_vs_precision_zero():
     (lambda: find_p_unit(-4, 5), True),
     (lambda: Laurent.const(2), False),
     (lambda: build_W(1, 1, r_an=1, L=Fraction(5, 3)).from_scalar(2), False),
+    (lambda: LSeriesInstance(5, DirichletCharacter.quadratic(-4)), True),
+    (lambda: RunConfig("gross-stark", discs=(-4,)), True),
 ], ids=["PadicNumber", "DirichletCharacter", "LambdaElement", "QExpansion",
-        "PUnitCertificate", "Laurent", "WElement"])
+        "PUnitCertificate", "Laurent", "WElement", "LSeriesInstance",
+        "RunConfig"])
 def test_value_types_are_immutable(make, hashable):
     # every value type refuses set and delete and keeps its slots; the types
     # whose == crosses types (PadicNumber(5, 0, 3, 10) == 3) are unhashable

@@ -20,8 +20,7 @@ from grossstark.characters import (DirichletCharacter, gen_bernoulli,
                                    is_fundamental_discriminant, kronecker)
 from grossstark.lambdaring import (LambdaElement, epsilon_char, nu_k,
                                    pi_normalize, uniformizer)
-from grossstark.lfunctions import (LpReport, LSeriesInstance,
-                                   analytic_invariant,
+from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
                                    classical_L_at_nonpositive, kubota_leopoldt,
                                    lp_derivative_at_0, lstar)
 from grossstark.padic import (PadicNumber, angle_bracket, hensel_sqrt, is_zero,
@@ -65,7 +64,9 @@ def _lp_derivative_at_0():
 
 
 def _analytic_invariant():
-    for p, d in HONESTY_PAIRS[:3]:
+    # r = 1 only: the first three pairs where p splits
+    split = [(p, d) for p, d in HONESTY_PAIRS if kronecker(d, p) == 1]
+    for p, d in split[:3]:
         for N in NS:
             yield (p, d), N, lambda N, p=p, d=d: analytic_invariant(
                 LSeriesInstance(p, chi(d), N))
@@ -271,7 +272,7 @@ def _determinants():
 ROWS = [
     (("kubota_leopoldt",), _kubota_leopoldt),
     (("lp_derivative_at_0",), _lp_derivative_at_0),
-    (("analytic_invariant", "LpReport"), _analytic_invariant),
+    (("analytic_invariant",), _analytic_invariant),
     (("DirichletCharacter",), _character_values),
     (("gen_bernoulli", "classical_L_at_nonpositive", "lstar"),
      _bernoulli_values),
@@ -331,9 +332,6 @@ def _scalars(x):
         return [x.coords.get(i, 0) for i in range(x.algebra.dimension)]
     if isinstance(x, PUnitCertificate):
         return [x.h, x.x, x.y, x.o, x.w, x.ell]
-    if isinstance(x, LpReport):
-        return [x.value_at_0, x.derivative_at_0, x.classical_value, x.l_an,
-                x.r, x.r_an_lower_bound]
     return [x]
 
 

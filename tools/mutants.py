@@ -122,10 +122,6 @@ MUTANTS = [
      "    return jets, _declared(p, d1, instance.N)\n",
      "    return jets, _declared(p, d1, instance.N + 5)\n",
      "declare L_p'(0) one digit past its N + 4 good digits"),
-    ("lfunctions.py",
-     "    L0 = _declared(instance.p, jets[0], instance.N)\n",
-     "    L0 = _declared(instance.p, jets[0], instance.N + 10)\n",
-     "declare L_p(0) in analytic_invariant one digit past the N + 9 it knows"),
     ("characters.py",
      "        return PadicNumber(self.p, 0, r, prec)\n",
      "        return PadicNumber(self.p, 0, r, prec + 1)\n",
@@ -187,7 +183,7 @@ MUTANTS = [
      "interp reads the series engine on both sides"),
     ("cli.py",
      "                reg = gross_regulator_rank1(cert)\n",
-     "                reg = rep.l_an\n",
+     "                reg = lan\n",
      "gross-stark takes its regulator from the L-function side"),
     ("lfunctions.py",
      "    return classical_L_at_nonpositive(chi.raise_modulus({p}), n, prec)\n",
@@ -224,7 +220,7 @@ MUTANTS = [
      "            if not is_zero(c)})\n",
      "let WElement drop coordinates that are zero only to precision"),
     ("cli.py",
-     "                if h != half_w * rep.classical_value:\n",
+     "                if h != half_w * classical:\n",
      "                if False:\n",
      "drop the class number formula check"),
     # branches that decide a check, each reached by a test that patches a
@@ -258,9 +254,13 @@ MUTANTS = [
      "    if False:\n",
      "let Cornacchia return b when (4m - b^2)/D is not an integer"),
     ("lfunctions.py",
-     "        if not L0.is_zero_to_precision():\n",
-     "        if False:\n",
+     "    if not L0.is_zero_to_precision():\n",
+     "    if False:\n",
      "let gross-stark run without the exceptional zero"),
+    ("lfunctions.py",
+     "    if instance.r != 1:\n",
+     "    if False:\n",
+     "analytic_invariant admits r = 0"),
     ("padic.py",
      "    def __delattr__(self, name):\n",
      "    def _delattr(self, name):\n",
@@ -277,6 +277,14 @@ MUTANTS = [
      "        if self.lambda_trunc > MAX_LAMBDA_TRUNC:\n",
      "        if False:\n",
      "drop the MAX_LAMBDA_TRUNC bound on --lambda-trunc"),
+    ("cli.py",
+     '        if self.command == "lambda" and self.prec - 4 > MAX_LAMBDA_TRUNC:\n',
+     "        if False:\n",
+     "drop the MAX_LAMBDA_TRUNC bound on lambda's --prec"),
+    ("cli.py",
+     "    M = max(config.lambda_trunc, N - 4)\n",
+     "    M = config.lambda_trunc\n",
+     "run lambda at the bare --lambda-trunc"),
     # the W-algebra fast paths: unit scalars skipped, sums from the first term
     ("walgebra.py",
      "                prod = a * b if sc is unit else a * b * sc\n",
