@@ -250,23 +250,25 @@ def _lambda_images():
 
 
 def _determinants():
-    rng = random.Random(8)
+    rng, rng3 = random.Random(8), random.Random(9)
     for p in (3, 5):
         o = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)]
-        lm = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
-               for _ in range(2)] for _ in range(2)]
+        lm, lm3 = ([[Fraction(g.randrange(-9, 10), g.randrange(1, 8))
+                     for _ in range(n)] for _ in range(n)]
+                   for g, n in ((rng, 2), (rng3, 3)))
         for N in NS:
-            def call(N, p=p, o=o, lm=lm):
+            def call(N, p=p, o=o, lm=lm, lm3=lm3):
                 L, W = _padic_scalars(p, N)
-                lp = [[PadicNumber.from_exact(p, x, N) * L for x in row]
-                      for row in lm]
+                lp, lp3 = ([[PadicNumber.from_exact(p, x, N) * L for x in row]
+                            for row in m] for m in (lm, lm3))
                 algs = (build_W(1, 2, r_an=2, L=L),
                         build_W(2, 2, r_an=2, L=L, W=W),
                         build_W(3, 2, s=3, t=2, L=L, W=W))
-                return (det(lp), case1_det_identity(o, lp, algs[0]),
+                # the 3 x 3 det is the first whose minors are shared
+                return (det(lp), det(lp3), case1_det_identity(o, lp, algs[0]),
                         case2_det_identity(o, lp, algs[1]),
                         case3_det_identity(o, lp, algs[2]))
-            yield (p, o, lm), N, call
+            yield (p, o, lm, lm3), N, call
 
 
 ROWS = [

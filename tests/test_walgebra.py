@@ -1,5 +1,6 @@
 """Nilpotent Artin algebras: structure, rewriting, determinant identities."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -467,6 +468,83 @@ def test_det_over_every_scalar_ring():
         det([])
     with pytest.raises(DomainError):
         det([[1, 2], [3]])
+
+
+def leibniz(m):
+    """The Leibniz sum, each term from its first-row entry, the identity first."""
+    n = len(m)
+    total = None
+    for perm in itertools.permutations(range(n)):
+        term = m[0][perm[0]]
+        for i in range(1, n):
+            term = term * m[i][perm[i]]
+        odd = sum(perm[i] > perm[j]
+                  for i in range(n) for j in range(i + 1, n)) % 2
+        if total is None:
+            total = term
+        else:
+            total = total - term if odd else total + term
+    return total
+
+
+def test_det_matches_leibniz():
+    rng = random.Random(23)
+    L, W = Laurent.var_L(), Laurent.var_W()
+    alg = build_W(2, 2, r_an=3, L=L0, W=W0)
+    entries = {
+        "int": lambda: rng.randint(-9, 9),
+        "Fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "Laurent": lambda: (L * rng.randint(-3, 3)
+                            + W.inverse() * rng.randint(-3, 3)
+                            + rng.randint(-3, 3)),
+        "WElement": lambda: alg.element({m: Fraction(rng.randint(-3, 3))
+                                         for m in rng.sample(alg.basis, 3)}),
+    }
+    for ring, entry in entries.items():
+        for n in range(1, 5):
+            for _ in range(3):
+                m = [[entry() for _ in range(n)] for _ in range(n)]
+                assert det(m) == leibniz(m), (ring, n, m)
+
+
+def test_padic_det_matches_leibniz_to_the_lower_precision():
+    # the two orders of products may declare different digits; every digit
+    # that both declare must agree
+    rng = random.Random(29)
+    for p in (3, 5):
+        for n in range(1, 5):
+            for _ in range(10):
+                m = [[PadicNumber.from_exact(
+                    p, Fraction(rng.randint(-40, 40), rng.randint(1, 40)),
+                    rng.randint(4, 12)) for _ in range(n)] for _ in range(n)]
+                a, b = det(m), leibniz(m)
+                assert a.same_to(b, min(a.precision, b.precision)), (p, m)
+
+
+def test_generators_are_built_once():
+    alg = build_W(2, 2, r_an=2, L=L0, W=W0)
+    assert alg.eps(1) is alg.eps(1) and alg.pi(2) is alg.pi(2)
+    assert alg.y(2) is alg.y(2) and alg.eps_product() is alg.eps(1, 2)
+    # the memo keeps the power and the indices apart
+    assert alg.pi(1) != alg.pi(2) and alg.eps(1) != alg.eps(2)
+    assert alg.y(1) != alg.pi(1)
+    for bad in (0, alg.r + 1):
+        with pytest.raises(DomainError):
+            alg.eps(bad)
+    with pytest.raises(DomainError):
+        alg.pi(-1)
+
+
+def test_scalar_times_a_unit_coordinate_is_the_scalar():
+    alg = build_W(1, 1, r_an=2, L=L0)
+    for s in (Fraction(3, 7), PadicNumber.from_exact(5, Fraction(3, 5), 10),
+              Laurent.var_L() * 2 + 1):
+        # PadicNumber equality compares the precision too
+        c = coefficient(alg.pi() * s, ("pi", 1))
+        assert c is s and c == Fraction(1) * s
+        # a coordinate that is not the unit is still multiplied
+        c3 = coefficient(alg.pi() * 3 * s, ("pi", 1))
+        assert c3 == Fraction(3) * s
 
 
 def test_formal_eps_pair_product():

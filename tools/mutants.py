@@ -303,9 +303,27 @@ MUTANTS = [
      "                out[i] = out[i] + c\n",
      "let WElement subtraction add where both have a coordinate"),
     ("walgebra.py",
-     "            total = total - term\n",
-     "            total = total + term\n",
-     "add det's odd-permutation terms"),
+     "                total = total - term if k % 2 else total + term\n",
+     "                total = total + term\n",
+     "add det's odd-position terms, the alternating sign"),
+    # the W-algebra shortcuts: the unit is never multiplied, generators are
+    # built once
+    ("walgebra.py",
+     "                i: other if c is unit else c * other\n",
+     "                i: other\n",
+     "let a scalar replace a coordinate that is not the unit"),
+    ("walgebra.py",
+     "    prod = entry[0] if sc is unit else sc * entry[0]\n",
+     "    prod = entry[0]\n",
+     "let the structure check skip a scalar that is not the unit"),
+    ("walgebra.py",
+     "        key = (a, b, J)\n",
+     "        key = (b, J)\n",
+     "drop the pi power from the generator memo key"),
+    ("walgebra.py",
+     "        key = (a, b, J)\n",
+     "        key = (a, b)\n",
+     "drop the eps indices from the generator memo key"),
 ]
 
 

@@ -41,8 +41,7 @@ from grossstark import cli  # noqa: E402
 from grossstark.characters import (DirichletCharacter,  # noqa: E402
                                    is_fundamental_discriminant, kronecker)
 from grossstark.lfunctions import (LSeriesInstance,  # noqa: E402
-                                   analytic_invariant, kubota_leopoldt,
-                                   lp_derivative_at_0)
+                                   analytic_invariant, kubota_leopoldt)
 from grossstark.padic import is_prime  # noqa: E402
 from grossstark.regulator import find_p_unit, gross_regulator_rank1  # noqa: E402
 
@@ -83,7 +82,6 @@ def declared_values(p: int, d: int, N: int) -> dict:
     """The p-adic values the gross-stark and interp paths declare at N."""
     instance = LSeriesInstance(p, DirichletCharacter.quadratic(d), N)
     out = {"value_at_0": kubota_leopoldt(instance, 0),
-           "derivative_at_0": lp_derivative_at_0(instance),
            "l_an": analytic_invariant(instance)[0],
            "regulator": gross_regulator_rank1(find_p_unit(d, p, N=N))}
     for n in (-1, -2, -3):
