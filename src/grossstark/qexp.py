@@ -1,9 +1,9 @@
 """q-expansions of Eisenstein series over Q, Hecke operators, and the F_k forms.
 
-Coefficients are exact Fractions whenever the character is real, PadicNumbers
-otherwise, so the U_p identities can be checked bit-exactly.  Operators track
-a reliability horizon instead of zero-padding: T_ell and U_ell output is
-reliable only to floor(N_q / ell).
+Coefficients are ints past a Fraction c(0) when the character is real,
+PadicNumbers otherwise, so the U_p identities can be checked bit-exactly.
+Operators track a reliability horizon instead of zero-padding: T_ell and
+U_ell output is reliable only to floor(N_q / ell).
 """
 
 from __future__ import annotations
@@ -72,11 +72,8 @@ class QExpansion(Immutable):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicNumber)):
-            if isinstance(other, PadicNumber) or other != 0:
-                return QExpansion(self.weight, self.character,
-                                  [c * other for c in self.coeffs], self.prec)
             return QExpansion(self.weight, self.character,
-                              [Fraction(0)] * (self.reliable_to + 1), self.prec)
+                              [c * other for c in self.coeffs], self.prec)
         if not isinstance(other, QExpansion):
             return NotImplemented
         n = min(self.reliable_to, other.reliable_to)
@@ -104,10 +101,10 @@ def eisenstein(k: int, eta: DirichletCharacter, support=(), n_terms: int = 200,
     eta(d) d^{k-1}, built by a divisor sieve: for d = 1, 2, ... in turn the
     int `residue` is taken once and eta(d) d^{k-1} added to every multiple
     of d.  So each c(n) sums its divisors in ascending order, in
-    O(n_terms log n_terms) steps, and is made a Fraction at the end, or a
-    PadicNumber at prec (p divides a p-adic modulus, so p ∤ d).  The
-    constant term is L(eta_raised, 1-k)/2.  The
-    weight-2 level-one series is not a modular form and is rejected.
+    O(n_terms log n_terms) steps, and stays an int for a real eta, or is made
+    a PadicNumber at prec (p divides a p-adic modulus, so p ∤ d).  The
+    constant term is the Fraction L(eta_raised, 1-k)/2.  The weight-2
+    level-one series is not a modular form and is rejected.
     """
     if k < 1:
         raise DomainError("weight must be at least 1")
@@ -125,8 +122,8 @@ def eisenstein(k: int, eta: DirichletCharacter, support=(), n_terms: int = 200,
             term = v * d ** (k - 1)
             for m in range(d, n + 1, d):
                 coeffs[m] += term
-    coeffs = [Fraction(c) if etaJ.is_rational else PadicNumber(etaJ.p, 0, c, prec)
-              for c in coeffs]
+    if not etaJ.is_rational:
+        coeffs = [PadicNumber(etaJ.p, 0, c, prec) for c in coeffs]
     coeffs[0] = c0
     return QExpansion(k, etaJ, coeffs, prec)
 
@@ -166,8 +163,10 @@ def hecke_T(ell: int, f: QExpansion) -> QExpansion:
         raise DomainError(f"T_{ell} needs ell coprime to the level; use U_{ell}")
     if f.reliable_to < ell:
         raise PrecisionError(f"horizon {f.reliable_to} < {ell}")
-    # ell is coprime to the level: chi(ell) is a unit, so scale is never 0
-    scale = f.character(ell, f.prec) * Fraction(ell) ** (f.weight - 1)
+    chi = f.character
+    # scale is never 0 (ell is coprime to the level), and an int for a real chi
+    scale = ((chi.residue(ell) if chi.is_rational else chi(ell, f.prec))
+             * ell ** (f.weight - 1))
     out = []
     for n in range(f.reliable_to // ell + 1):
         c = f.coeffs[n * ell]
@@ -199,22 +198,20 @@ def verify_up_relation(chi: DirichletCharacter, p: int, n_q: int = 200,
     E = eisenstein(1, chi, (), n_q, prec)
     EJ = eisenstein(1, chi, (p,), n_q, prec)
     horizon = n_q // p
-    first = None
-    lhs1 = hecke_U(p, E) - E.truncate(horizon)
-    for n in range(horizon + 1):
-        if not is_zero(lhs1.coeff(n) - EJ.coeff(n)):
+    first = None  # each zip stops at U_p's horizon
+    for n, (u, e, ej) in enumerate(zip(hecke_U(p, E).coeffs, E.coeffs, EJ.coeffs)):
+        if u - e != ej:
             first = ("branch1", n)
             break
     if first is None:
-        lhs2 = hecke_U(p, EJ) - EJ.truncate(horizon)
-        for n in range(horizon + 1):
-            if not is_zero(lhs2.coeff(n)):
+        for n, (u, ej) in enumerate(zip(hecke_U(p, EJ).coeffs, EJ.coeffs)):
+            if u != ej:
                 first = ("branch2", n)
                 break
     # (U_p - 1)^2 E = 0 needs no check: for n <= horizon/p, branch 1 gives
-    # lhs1(pn) - lhs1(n) = E_J(pn) - E_J(n) = lhs2(n), which branch 2 found 0.
-    # Exact for Fraction coefficients (chi quadratic); p-adic E and E_J share
-    # one prec, and only an E_J known to fewer digits could set them apart.
+    # lhs1(pn) - lhs1(n) = E_J(pn) - E_J(n) = lhs2(n), which branch 2 found 0
+    # (lhs1 = (U_p - 1) E, lhs2 = (U_p - 1) E_J).  Exact: chi(p) of a p-adic
+    # chi raises, so chi is real, and E, E_J hold ints past a Fraction c(0).
     return {
         "p": p,
         "character": repr(chi),

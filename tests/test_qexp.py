@@ -54,7 +54,7 @@ def _two_char_divisor_loop(k, eta, psi, n_terms, prec=None):
 
 
 def same_coeffs(got, want):
-    """Equal coefficient tuples, entry types included (Fraction vs PadicNumber)."""
+    """Equal coefficient tuples, entry types included (int, Fraction, PadicNumber)."""
     return ([type(c) for c in got] == [type(c) for c in want]
             and list(got) == list(want))
 
@@ -71,7 +71,9 @@ def test_eisenstein_weight1_values():
 
 
 def test_eisenstein_matches_divisor_oracle():
-    # whole tuples, constant term included, against one divisor sum per n
+    # whole tuples, constant term included, against one divisor sum per n:
+    # a Fraction c(0), then ints for a rational character (the divisor sums
+    # are integers) and PadicNumbers for a p-adic one
     n_terms = 300
     chars = [(chi(-4), None), (chi(-23), None), (chi(5), None), (chi(12), None),
              (DirichletCharacter.teichmuller_power(5, 1), 10),
@@ -87,6 +89,9 @@ def test_eisenstein_matches_divisor_oracle():
                 etaJ = char.raise_modulus(support)
                 want = [classical_L_at_nonpositive(etaJ, 1 - k, prec) * Fraction(1, 2)]
                 want += [divisor_sum(n, etaJ, k, prec) for n in range(1, n_terms + 1)]
+                if etaJ.is_rational:
+                    assert all(c.denominator == 1 for c in want[1:])
+                    want[1:] = [int(c) for c in want[1:]]
                 assert same_coeffs(E.coeffs, want), (k, char, support)
                 seen.add((k, char.is_rational, bool(support)))
     assert len(seen) == 5 * 2 * 2  # every weight, both value types, raised and not
@@ -201,6 +206,28 @@ def test_eigenform_law_T():
                 assert TE.coeff(n) == lam * E.coeff(n), (k, ell, n)
 
 
+def test_hecke_keeps_rational_coefficients_ints():
+    # T_ell and U_ell of a rational E_k(1, chi) hold ints past q^0, equal to
+    # the Fraction oracle c(n ell) + chi(ell) ell^{k-1} c(n/ell)
+    n_terms = 150
+    for k, char in ((1, chi(-4)), (2, chi(5)), (3, chi(-23))):
+        E = eisenstein(k, char, n_terms=n_terms)
+        c = [classical_L_at_nonpositive(char, 1 - k) * Fraction(1, 2)]
+        c += [divisor_sum(n, char, k) for n in range(1, n_terms + 1)]
+        for ell in (2, 3, 5, 7):
+            U = hecke_U(ell, E)
+            assert list(U.coeffs) == [c[n * ell] for n in range(U.reliable_to + 1)]
+            assert all(type(x) is int for x in U.coeffs[1:]), (k, ell)
+            if char.modulus % ell == 0:
+                continue
+            T = hecke_T(ell, E)
+            scale = char(ell) * Fraction(ell) ** (k - 1)
+            want = [c[n * ell] + (scale * c[n // ell] if n % ell == 0 else 0)
+                    for n in range(T.reliable_to + 1)]
+            assert list(T.coeffs) == want, (k, ell)
+            assert all(type(x) is int for x in T.coeffs[1:]), (k, ell)
+
+
 def test_hecke_T_rejects_bad_level():
     E = eisenstein(1, chi(-4), n_terms=20)
     with pytest.raises(DomainError):
@@ -250,6 +277,7 @@ def test_qexp_arithmetic_contracts():
     E3 = eisenstein(3, chi(-4), n_terms=30)
     with pytest.raises(DomainError):
         E1 + E3
+    assert (E1 * 0).coeffs == (0,) * 31  # a zero scalar leaves zeros
     prod = E1 * E1
     assert prod.weight == 2
     # chi_{-4}^2 folds to the trivial disc with 2 kept as a lost prime

@@ -1,17 +1,19 @@
-"""Sweep `verify gross-stark`, `interp` and `lambda` over the whole small grid.
+"""Sweep `verify gross-stark`, `interp`, `hecke` and `lambda` over the small grid.
 
     python3 tools/sweep.py [--out SWEEP.json]
 
-`gross-stark` and `interp` run at every negative fundamental discriminant
-d with |d| < 3000 and every odd prime p <= 13 split in Q(sqrt(d)), that
-is chi_d(p) = 1; `lambda` runs at every odd prime p <= 101.  All calls
-are at N = 12.  Each (command, p, d), or (lambda, p), is one `verify`
-call, made in this process through grossstark.cli.main with a JSON report
-of its own; a call that exits without a report, or with a nonzero code,
-counts as a non-pass.  A seeded subsample of the (p, d) instances
-also checks precision honesty: every digit that the N = 12 call of each
-public route on the gross-stark path declares must agree with the same
-call at N + 10.
+`gross-stark`, `interp` and `hecke` run at every negative fundamental
+discriminant d with |d| < 3000 and every odd prime p <= 13 split in
+Q(sqrt(d)), that is chi_d(p) = 1; `lambda` runs at every odd prime
+p <= 101.  All calls are at N = 12, and `hecke` at its default
+--qexp-terms 200, which covers both 4p and the tenth prime coprime to d
+(at most 43 for |d| < 3000).  Each (command, p, d), or (lambda, p), is
+one `verify` call, made in this process through grossstark.cli.main with
+a JSON report of its own; a call that exits without a report, or with a
+nonzero code, counts as a non-pass.  A seeded subsample of the (p, d)
+instances also checks precision honesty: every digit that the N = 12
+call of each public route on the gross-stark path declares must agree
+with the same call at N + 10.
 
 The output holds a status histogram per command, every check that is not
 `pass` (none is dropped), the honesty results and the 20 slowest calls.
@@ -48,7 +50,7 @@ from grossstark.regulator import find_p_unit, gross_regulator_rank1  # noqa: E40
 BOUND = 3000  # every d with |d| < BOUND
 PRIMES = (3, 5, 7, 11, 13)
 PREC = 12
-COMMANDS = ("gross-stark", "interp")
+COMMANDS = ("gross-stark", "interp", "hecke")
 LAMBDA_PRIMES = tuple(p for p in range(3, 102, 2) if is_prime(p))
 HONESTY_SAMPLE = 40
 HONESTY_SEED = 20261018
