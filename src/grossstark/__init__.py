@@ -27,7 +27,7 @@ from .padic import (PadicNumber, angle_bracket, cornacchia, hensel_sqrt,
 from .qexp import (QExpansion, build_Fk, eisenstein, eisenstein_two_char,
                    hecke_T, hecke_U, hida_surrogate, verify_up_relation)
 from .regulator import (PUnitCertificate, class_number, find_p_unit,
-                        gross_regulator_general, gross_regulator_rank1)
+                        gross_regulator_rank1)
 from .walgebra import (Laurent, WAlgebra, WElement, build_W,
                        case1_det_identity, case2_det_identity,
                        case3_det_identity, det, epsilon_pi_minus_y, epsilon_y,
@@ -58,7 +58,7 @@ __all__ = [
     "hecke_U", "hida_surrogate", "verify_up_relation",
     # regulator
     "PUnitCertificate", "class_number", "find_p_unit",
-    "gross_regulator_general", "gross_regulator_rank1",
+    "gross_regulator_rank1",
     # W-algebras
     "Laurent", "WAlgebra", "WElement", "build_W", "case1_det_identity",
     "case2_det_identity", "case3_det_identity", "det", "epsilon_pi_minus_y",

@@ -31,7 +31,8 @@ from .characters import (BernoulliCache, DirichletCharacter,
                          shared_cache)
 from .errors import (ConsistencyError, ConstructionError,
                      DegenerateInstanceError, DomainError, PrecisionError)
-from .lambdaring import epsilon_char, nu_k, pi_normalize, uniformizer
+from .lambdaring import (DEFAULT_TRUNCATION, epsilon_char, nu_k, pi_normalize,
+                         uniformizer)
 from .lfunctions import (CONCLUSIVE_PRECISION, LSeriesInstance,
                          analytic_invariant, kubota_leopoldt, lstar,
                          working_precision)
@@ -47,12 +48,12 @@ MAX_P = 10 ** 5
 # bounds on --disc: the fundamental-discriminant test divides up to sqrt|d|,
 # and for interp and gross-stark the series engine's time and memory grow
 # with F*W, F = |d| p and W its working precision (the largest instance
-# timed, p = 3, d = -30011, N = 12, has F*W = 1.8e6 and takes 2.4 s)
+# timed, p = 3, d = -30011, N = 12, has F*W = 1.8e6 and takes 0.9-1.1 s)
 MAX_ABS_D = 10 ** 5
 MAX_FW = 2 * 10 ** 6
 # bounds on the count options, far above every workload call (--trials 30,
-# --qexp-terms up to 1000, --lambda-trunc 16).  w-algebra costs about 6 ms
-# a trial (1000 trials take 5.9 s), so MAX_TRIALS runs for about a minute
+# --qexp-terms up to 1000, --lambda-trunc 16).  w-algebra costs about 3 ms
+# a trial (1000 trials take 2.9-3.0 s), so MAX_TRIALS runs for about 30 s
 MAX_TRIALS = 10 ** 4
 # 4 MAX_P, so every admitted p has an admitted hecke length: hecke --p 5
 # --disc -4 takes 0.4 s at 10^5 terms and 2.1 s (25 MB peak) at 4 * 10^5
@@ -71,9 +72,9 @@ class RunConfig(Immutable):
 
     # the one source of verify's defaults: build_parser reads __kwdefaults__
     def __init__(self, command: str, *, primes=(3, 5, 7), discs=(),
-                 prec: int = 12, qexp_terms: int = 200, lambda_trunc: int = 16,
-                 trials: int = 100, json_path: str | None = None,
-                 cache_dir: str | None = None):
+                 prec: int = 12, qexp_terms: int = 200,
+                 lambda_trunc: int = DEFAULT_TRUNCATION, trials: int = 100,
+                 json_path: str | None = None, cache_dir: str | None = None):
         values = {**locals(), "primes": tuple(primes), "discs": tuple(discs)}
         for name in self.__slots__:
             object.__setattr__(self, name, values[name])
@@ -129,8 +130,8 @@ class RunConfig(Immutable):
 
     @property
     def conclusive(self) -> bool:
-        # w-algebra never reads --prec, and hecke's quadratic characters give
-        # int q-expansions past a Fraction c(0): both compare exactly at any --prec
+        # neither reads --prec: w-algebra's scalars are exact, and hecke's
+        # quadratic characters give int q-expansions past a Fraction c(0)
         if self.command in ("w-algebra", "hecke"):
             return True
         return self.prec >= CONCLUSIVE_PRECISION
@@ -341,12 +342,11 @@ def cmd_hecke_check(config: RunConfig):
             chi = DirichletCharacter.quadratic(d)
 
             def up_check(p=p, chi=chi):
-                rep = verify_up_relation(chi, p, n_q=config.qexp_terms,
-                                         prec=config.prec)
-                if rep["pass"]:
-                    return "pass", None, \
-                        f"{rep['checked_coefficients']} coefficients"
-                return "fail", None, f"first discrepancy {rep['first_discrepancy']}"
+                first, checked = verify_up_relation(chi, p,
+                                                    n_q=config.qexp_terms)
+                if first is None:
+                    return "pass", None, f"{checked} coefficients"
+                return "fail", None, f"first discrepancy {first}"
 
             yield "hecke-up", f"p={p} d={d}", up_check
 

@@ -184,41 +184,34 @@ def hecke_U(ell: int, f: QExpansion) -> QExpansion:
     return QExpansion(f.weight, f.character, out, f.prec)
 
 
-def verify_up_relation(chi: DirichletCharacter, p: int, n_q: int = 200,
-                       prec: int | None = None) -> dict:
+def verify_up_relation(chi: DirichletCharacter, p: int,
+                       n_q: int = 200) -> tuple[tuple | None, int]:
     """Check both branches of the U_p shift law on E_1(1, chi_J), bit-exactly.
 
     Branch 1 (p not in J):  (U_p - 1) E_1(1, chi) = E_1(1, chi_{p}).
     Branch 2 (p in J):      (U_p - 1) E_1(1, chi_{p}) = 0.
-    Requires chi(p) = 1; both sides are built by two separate sieve calls and
-    compared on every reliable coefficient including the constant terms.
+    Requires chi(p) = 1, which only a real chi can meet: chi(p) of a p-adic
+    chi raises, so no precision is needed.  Both sides are built by two
+    separate sieve calls and compared on every reliable coefficient
+    including the constant terms.  Returns (first_discrepancy, checked):
+    the first failing (branch, n), or None, and the coefficient count.
     """
     if chi(p) != 1:
         raise DomainError("the shift law needs chi(p) = 1")
-    E = eisenstein(1, chi, (), n_q, prec)
-    EJ = eisenstein(1, chi, (p,), n_q, prec)
-    horizon = n_q // p
-    first = None  # each zip stops at U_p's horizon
+    E = eisenstein(1, chi, (), n_q)
+    EJ = eisenstein(1, chi, (p,), n_q)
+    checked = n_q // p + 1  # each zip stops at U_p's horizon n_q // p
     for n, (u, e, ej) in enumerate(zip(hecke_U(p, E).coeffs, E.coeffs, EJ.coeffs)):
         if u - e != ej:
-            first = ("branch1", n)
-            break
-    if first is None:
-        for n, (u, ej) in enumerate(zip(hecke_U(p, EJ).coeffs, EJ.coeffs)):
-            if u != ej:
-                first = ("branch2", n)
-                break
+            return ("branch1", n), checked
+    for n, (u, ej) in enumerate(zip(hecke_U(p, EJ).coeffs, EJ.coeffs)):
+        if u != ej:
+            return ("branch2", n), checked
     # (U_p - 1)^2 E = 0 needs no check: for n <= horizon/p, branch 1 gives
     # lhs1(pn) - lhs1(n) = E_J(pn) - E_J(n) = lhs2(n), which branch 2 found 0
-    # (lhs1 = (U_p - 1) E, lhs2 = (U_p - 1) E_J).  Exact: chi(p) of a p-adic
-    # chi raises, so chi is real, and E, E_J hold ints past a Fraction c(0).
-    return {
-        "p": p,
-        "character": repr(chi),
-        "checked_coefficients": horizon + 1,
-        "pass": first is None,
-        "first_discrepancy": first,
-    }
+    # (lhs1 = (U_p - 1) E, lhs2 = (U_p - 1) E_J).  Exact: chi is real, so
+    # E, E_J hold ints past a Fraction c(0).
+    return None, checked
 
 
 def hida_surrogate(k: int, p: int, n_q: int, prec: int | None = None) -> QExpansion:

@@ -9,8 +9,8 @@ of P in the class group.  The two measurement maps are
     l(u) = plog(iota(pi)) - plog(iota(pibar))       (a p-adic number),
 
 with iota the embedding determined by a chosen square root w of d in Z_p.
-The rank-1 regulator is -l(u)/o(u); the general form is the ratio of
-determinants det(-l_matrix)/det(o_matrix) on supplied measurement matrices.
+The regulator is -l(u)/o(u).  Over Q the minus-part has rank at most 1, so
+this rank-1 ratio is the whole of Gross's rank-r determinant det(-l)/det(o).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .characters import kronecker, is_fundamental_discriminant
 from .errors import (ConsistencyError, DomainError, PrecisionError,
                      RamifiedError)
 from .padic import Immutable, PadicNumber, cornacchia, hensel_sqrt, plog
-from .walgebra import det
 
 _W_MARGIN = 4
 
@@ -148,23 +147,4 @@ def find_p_unit(d: int, p: int, N: int = 12) -> PUnitCertificate:
 def gross_regulator_rank1(cert: PUnitCertificate) -> PadicNumber:
     """-l(u)/o(u): invariant under root swap and choice of associate."""
     return cert.ell * Fraction(-1, cert.o)
-
-
-def gross_regulator_general(o_matrix, l_matrix) -> PadicNumber:
-    """det(-l)/det(o) = (-1)^r det(l)/det(o) for r x r measurement matrices.
-
-    o_matrix holds exact integers (or rationals), l_matrix p-adic numbers.
-    Invariant under right-multiplying both by a common invertible rational
-    matrix and under common row scalings.
-    """
-    r = len(o_matrix)
-    if r == 0 or any(len(row) != r for row in o_matrix) \
-            or len(l_matrix) != r or any(len(row) != r for row in l_matrix):
-        raise DomainError("need square matrices of matching size")
-    det_o = det(o_matrix)
-    if det_o == 0:
-        raise DomainError("singular o-matrix")
-    det_l = det(l_matrix)
-    sign = (-1) ** r
-    return det_l * (Fraction(sign) / Fraction(det_o))
 

@@ -29,7 +29,6 @@ from grossstark.qexp import (QExpansion, build_Fk, eisenstein,
                              eisenstein_two_char, hecke_T, hecke_U,
                              hida_surrogate)
 from grossstark.regulator import (PUnitCertificate, find_p_unit,
-                                  gross_regulator_general,
                                   gross_regulator_rank1)
 from grossstark.walgebra import (WElement, build_W, case1_det_identity,
                                  case2_det_identity, case3_det_identity, det,
@@ -154,17 +153,6 @@ def _regulator_rank1():
                     yield (p, d), N, call
 
 
-def _regulator_general():
-    # l-matrices from the measurements of split discriminants
-    for p, ds in ((5, (-4, -11, -19, -31)), (7, (-3, -19, -20, -24))):
-        for N in NS:
-            def call(N, p=p, ds=ds):
-                ell = [find_p_unit(d, p, N).ell for d in ds]
-                return gross_regulator_general([[1, 2], [3, 4]],
-                                               [ell[:2], ell[2:]])
-            yield (p, ds), N, call
-
-
 def _epsilon_char():
     for p in (3, 5, 7):
         for x in (2, 4, -1):
@@ -284,7 +272,6 @@ ROWS = [
     (("plog",), _plog),
     (("gross_regulator_rank1", "find_p_unit", "PUnitCertificate"),
      _regulator_rank1),
-    (("gross_regulator_general",), _regulator_general),
     (("epsilon_char",), _epsilon_char),
     (("nu_k",), _nu_k_of_epsilon_char),
     (("pi_normalize",), _pi_normalize),

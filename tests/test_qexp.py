@@ -249,11 +249,7 @@ def test_hecke_horizon():
 
 
 def test_up_shift_law():
-    rep = verify_up_relation(chi(-4), 5, n_q=200)
-    assert rep["pass"] is True
-    assert rep["first_discrepancy"] is None
-    assert rep["checked_coefficients"] == 41
-    assert rep["p"] == 5
+    assert verify_up_relation(chi(-4), 5, n_q=200) == (None, 41)
 
 
 def test_up_shift_law_needs_split():
@@ -414,7 +410,7 @@ def _up_relation_with(monkeypatch, make_E, make_EJ, p=5, n_q=40):
         return QExpansion(f.weight, f.character, coeffs, f.prec)
 
     monkeypatch.setattr(qexp, "eisenstein", built)
-    return verify_up_relation(chi(-4), p, n_q=n_q)["first_discrepancy"]
+    return verify_up_relation(chi(-4), p, n_q=n_q)[0]
 
 
 def test_up_relation_reports_each_branch(monkeypatch):

@@ -1,7 +1,9 @@
 """p-unit certificates and the Gross regulator."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +13,8 @@ from grossstark.characters import (DirichletCharacter,
 from grossstark.errors import (ConsistencyError, DomainError, PrecisionError,
                                RamifiedError)
 from grossstark.lfunctions import classical_L_at_nonpositive
-from grossstark.padic import PadicNumber, hensel_sqrt
+from grossstark.padic import hensel_sqrt
 from grossstark.regulator import (PUnitCertificate, class_number, find_p_unit,
-                                  gross_regulator_general,
                                   gross_regulator_rank1)
 
 from test_precision import check_row
@@ -173,40 +174,6 @@ def test_second_locked_instance():
     assert (reg - again).is_zero_to_precision()
 
 
-def test_general_matches_rank1():
-    cert = find_p_unit(-4, 5)
-    via_general = gross_regulator_general([[cert.o]], [[cert.ell]])
-    direct = gross_regulator_rank1(cert)
-    assert (via_general - direct).is_zero_to_precision()
-
-
-def test_general_invariances():
-    # common row scaling and basis change leave det(-l)/det(o) fixed
-    c1 = find_p_unit(-4, 5)
-    c2 = find_p_unit(-11, 5)
-    o = [[c1.o, 0], [0, c2.o]]
-    l = [[c1.ell, PadicNumber.zero(5)], [PadicNumber.zero(5), c2.ell]]
-    base = gross_regulator_general(o, l)
-    # scale row 0 of both by 3
-    o_s = [[3 * c1.o, 0], [0, c2.o]]
-    l_s = [[c1.ell * 3, PadicNumber.zero(5)], [PadicNumber.zero(5), c2.ell]]
-    assert (gross_regulator_general(o_s, l_s) - base).is_zero_to_precision()
-    # right-multiply both by the same unimodular matrix [[1,1],[0,1]]
-    o_b = [[o[i][0], o[i][0] + o[i][1]] for i in range(2)]
-    l_b = [[l[i][0], l[i][0] + l[i][1]] for i in range(2)]
-    assert (gross_regulator_general(o_b, l_b) - base).is_zero_to_precision()
-
-
-def test_general_guards():
-    with pytest.raises(DomainError):
-        gross_regulator_general([], [])
-    with pytest.raises(DomainError):
-        gross_regulator_general([[1, 2]], [[PadicNumber.zero(5)]])
-    cert = find_p_unit(-4, 5)
-    with pytest.raises(DomainError):
-        gross_regulator_general([[0]], [[cert.ell]])  # singular o
-
-
 def test_dump_roundtrip():
     cert = find_p_unit(-4, 5)
     d = cert.dump()
@@ -218,3 +185,17 @@ def test_dump_roundtrip():
     assert res == cert.ell.residue(cert.ell.precision)
     # and the whole thing is JSON-serializable
     assert json.loads(json.dumps(d)) == d
+
+
+def test_regulator_does_not_import_walgebra():
+    # the arithmetic side of gross-stark stands without the W-algebra module
+    tree = ast.parse(Path(regulator.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert names and "walgebra" not in names

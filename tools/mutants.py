@@ -4,9 +4,12 @@
 
 The tree (src/, tests/, pyproject.toml) is copied to a temporary directory;
 the working tree is never written.  Tier-1 must pass on the unmutated copy
-first.  Then, for each mutant, the original line must occur exactly once in
-its file; the mutant replaces it, tier-1 runs on the copy, and the file is
-restored.  A mutant survives when tier-1 still passes under it.
+first, in pytest's default order.  Then, for each mutant, the original line
+must occur exactly once in its file; the mutant replaces it, tier-1 runs on
+the copy with `-x`, and the file is restored.  A mutant of <stem>.py runs
+tests/test_<stem>.py first, where there is one, and then every other test
+file, so most mutants stop at their own module's tests.  A mutant survives
+when every test file still passes under it.
 
 Exit codes: 0 when every mutant is killed, 1 when any survives, 2 when the
 unmutated copy fails tier-1 or a mutant's original line no longer occurs
@@ -238,8 +241,8 @@ MUTANTS = [
      "        if False:\n",
      "let the U_p shift law's branch 1 never fail"),
     ("qexp.py",
-     "            if u != ej:\n",
-     "            if False:\n",
+     "        if u != ej:\n",
+     "        if False:\n",
      "let the U_p shift law's branch 2 never fail"),
     ("qexp.py",
      "    if not is_zero(c0):\n",
@@ -336,11 +339,30 @@ MUTANTS = [
 ]
 
 
-def tier1(tree: Path) -> bool:
-    """True when tier-1 passes on tree (a timeout counts as a failure)."""
+def own_tests_first(tree: Path, filename: str) -> list:
+    """Every test file, tests/test_<stem>.py of filename first; [] if none.
+
+    Each file is named: pytest keeps the order of its arguments, but drops
+    a file named before its own directory, so naming one file and then
+    tests/ would not reorder anything.
+    """
+    own = tree / "tests" / f"test_{Path(filename).stem}.py"
+    if not own.is_file():
+        return []
+    rest = sorted(set((tree / "tests").glob("test_*.py")) - {own})
+    return [str(path.relative_to(tree)) for path in [own, *rest]]
+
+
+def tier1(tree: Path, files=()) -> bool:
+    """True when tier-1 passes on tree (a timeout counts as a failure).
+
+    files, when given, names every test file in the order to run them;
+    otherwise pytest runs tests/ in its default order.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")  # no stale bytecode after a mutant
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           *files]
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                               timeout=TIMEOUT_S)
@@ -370,7 +392,7 @@ def main() -> int:
                 return 2
             path.write_text(text.replace(original, mutant))
             try:
-                survived = tier1(tree)
+                survived = tier1(tree, own_tests_first(tree, filename))
             finally:
                 path.write_text(text)
             survivors += survived
