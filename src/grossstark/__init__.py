@@ -1,4 +1,4 @@
-"""Desk-scale verification toolkit for the rank-r Gross-Stark conjecture over Q.
+"""Desk-scale verification toolkit for the Gross-Stark conjecture over Q.
 
 Exact p-adic arithmetic, Kubota-Leopoldt p-adic L-functions with dual-number
 derivatives, the Lambda-ring weight-specialization bridge, Hecke operators on

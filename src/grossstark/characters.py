@@ -57,19 +57,9 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _squarefree(n):
-    return all(e == 1 for _, e in factorize(abs(n)))
-
-
 def is_fundamental_discriminant(d: int) -> bool:
-    if d == 1:
-        return True
-    if d % 4 == 1:
-        return _squarefree(d)
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and _squarefree(q)
-    return False
+    """d is the discriminant of Q(sqrt d), or 1: the one the fold returns."""
+    return d != 0 and _fold_discriminant(d)[0] == d
 
 
 def prime_discriminant(p: int) -> int:

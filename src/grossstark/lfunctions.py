@@ -77,12 +77,7 @@ def working_precision(N: int) -> int:
 
 
 class LSeriesInstance(Immutable):
-    """A (p, chi) pair with working precision, plus the Euler-split data.
-
-    R = {p} when chi(p) = 1 (the exceptional-zero case, r = 1) and
-    R' = {p} when chi(p) is neither 0 nor 1; over Q these sets have at most
-    one element.
-    """
+    """An odd prime p, an odd character chi and the declared precision N."""
 
     __slots__ = ("p", "chi", "N")
 
@@ -96,23 +91,6 @@ class LSeriesInstance(Immutable):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "N", N)
-
-    @property
-    def chi_at_p(self) -> Fraction:
-        return self.chi(self.p)
-
-    @property
-    def R(self) -> frozenset:
-        return frozenset({self.p}) if self.chi_at_p == 1 else frozenset()
-
-    @property
-    def Rprime(self) -> frozenset:
-        c = self.chi_at_p
-        return frozenset({self.p}) if c != 0 and c != 1 else frozenset()
-
-    @property
-    def r(self) -> int:
-        return len(self.R)
 
 
 # -- exact side ---------------------------------------------------------
@@ -406,14 +384,13 @@ def order_probe(instance: LSeriesInstance, max_r: int = 3) -> dict:
 def analytic_invariant(instance: LSeriesInstance) -> tuple:
     """(L_an, L(chi, 0)) with L_an = L_p'(chi*omega, 0) / L(chi, 0), for r = 1.
 
-    L_an is the leading term only when L_p(0) vanishes to N digits (the
-    exceptional zero), else ConsistencyError.  r = 0 raises DomainError: its
-    statement L_p(chi*omega, 0) = L*(chi, 0) is the interpolation property
-    at n = 0.
+    Over Q, r = 1 exactly when chi(p) = 1, else r = 0.  L_an is the leading
+    term only when L_p(0) vanishes to N digits (the exceptional zero), else
+    ConsistencyError.  r = 0 raises DomainError: its statement
+    L_p(chi*omega, 0) = L*(chi, 0) is the interpolation property at n = 0.
     """
-    if instance.r != 1:
-        raise DomainError(
-            f"analytic_invariant needs r = 1, got r = {instance.r}")
+    if instance.chi(instance.p) != 1:
+        raise DomainError("analytic_invariant needs r = 1, got r = 0")
     jets, d1 = _s0_jets(instance)
     L0 = _declared(instance.p, jets[0], instance.N)
     if not L0.is_zero_to_precision():

@@ -235,7 +235,7 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
              prec: int = 12) -> QExpansion:
     """The weight-k form with forced-zero constant term.
 
-    With R' nonempty:
+    R' is {p} when chi(p) is neither 0 nor 1, else empty.  With R' nonempty:
         F_k = E_k(1, chi*om^{1-k})
               - E_1(1, chi_{R'}) * G_{k-1} * [L_p(chi om, 1-k) / L(chi_{R'}, 0)]
     With R' empty the subtracted term uses chi itself and a correction by
@@ -251,7 +251,7 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
     """
     if k < 2:
         raise DomainError("F_k needs classical weight k >= 2")
-    inst = LSeriesInstance(p, chi, prec)
+    LSeriesInstance(p, chi, prec)  # the guard on p, chi and N
     wprec = prec + 6
 
     def pr(char):
@@ -262,7 +262,7 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
     lp_val = 2 * main.coeff(0)
     G = hida_surrogate(k - 1, p, n_q,
                        pr(DirichletCharacter.teichmuller_power(p, (1 - k) % (p - 1))))
-    if inst.Rprime:
+    if chi(p) not in (0, 1):
         aux = chi.raise_modulus({p})
         denom = classical_L_at_nonpositive(aux, 0, pr(aux))
         F = main - eisenstein(1, aux, (), n_q, pr(aux)) * G * (lp_val / denom)

@@ -118,6 +118,9 @@ class Laurent(Immutable):
         (a, b), v = next(iter(self.terms.items()))
         return Laurent({(-a, -b): 1 / v})
 
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
     def __eq__(self, other):
         terms = self._terms(other)
         if terms is None:
@@ -136,14 +139,6 @@ class Laurent(Immutable):
                            ([f"{s}^{e}"] if e not in (0, 1) else [s] * (e == 1)))
             bits.append(f"{v}" + ("*" + mono if mono else ""))
         return " + ".join(bits)
-
-
-def _scalar_inv(s):
-    if isinstance(s, PadicNumber):
-        return s.inverse()
-    if isinstance(s, Laurent):
-        return s.inverse()
-    return 1 / Fraction(s)
 
 
 # monomials: ("pi", a) with a >= 0 (("pi", 0) is 1), ("y", b) with b >= 1,
@@ -191,7 +186,7 @@ class WAlgebra:
                 rules = {full: (L * one * sign, ("pi", r_an))}
             else:
                 self._check_W()
-                w_inv = _scalar_inv(W)
+                w_inv = one / W
                 tops = (r_an, r_an)
                 rules = {full: (L * w_inv * sign, ("y", r_an)),
                          ("pi", r_an): ((W + 1) * w_inv, ("y", r_an))}

@@ -61,7 +61,7 @@ def test_kronecker_multiplicativity():
         assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
 
-def _squarefree(m):
+def _no_square_factor(m):
     return m != 0 and all(m % (k * k) for k in range(2, math.isqrt(abs(m)) + 1))
 
 
@@ -70,8 +70,9 @@ def _fundamental_oracle(d):
     if d == 1:
         return True
     if d % 4 == 1:
-        return _squarefree(d)
-    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and _squarefree(d // 4)
+        return _no_square_factor(d)
+    return (d % 4 == 0 and (d // 4) % 4 in (2, 3)
+            and _no_square_factor(d // 4))
 
 
 def test_fundamental_discriminants():
@@ -79,8 +80,9 @@ def test_fundamental_discriminants():
                     21, -23, -24, 24, 28, -31, 33, -40, -39, -35, 17, 29, 37,
                     40}
     for d in range(-40, 41):
-        assert is_fundamental_discriminant(d) == _fundamental_oracle(d), d
         assert is_fundamental_discriminant(d) == (d in fundamentals), d
+    for d in range(-9999, 10000):
+        assert is_fundamental_discriminant(d) == _fundamental_oracle(d), d
     for d in (0, 2, 3, -2, -5, -9, -12, -16, 16, 25):
         assert not is_fundamental_discriminant(d), d
 

@@ -1,7 +1,9 @@
 """The verify CLI: exit codes, report schema, caching, determinism."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -170,6 +172,27 @@ def test_package_imports_without_sympy():
 def test_help_exits_0(capsys):
     code, _, _ = run(["--help"], capsys)
     assert code == 0
+
+
+def test_every_usage_error_has_its_row_in_the_readme_table():
+    # each UsageError message, any text standing in for its {fields}, is in
+    # a row of README.md's exit-code table
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme[readme.index("| exit-2 cause"):].split("\n\n")[0]
+    rows = table.replace("\\|", "|").splitlines()
+    source = Path(cli.__file__).read_text()
+    messages = [node.exc.args[0] for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "UsageError"]
+    assert len(messages) == source.count("raise UsageError(")
+    for message in messages:
+        parts = (message.values if isinstance(message, ast.JoinedStr)
+                 else [message])
+        pattern = "".join(re.escape(part.value)
+                          if isinstance(part, ast.Constant) else "[^`|]+"
+                          for part in parts)
+        assert any(re.search(f"`{pattern}`", row) for row in rows), pattern
 
 
 # -- runs ------------------------------------------------------------------------

@@ -44,7 +44,7 @@ GUARDS = {
     "characters.DirichletCharacter.__mul__":
         "test_characters::test_character_product_folds_discriminants",
     "characters._fold_discriminant":
-        "test_characters::test_character_product_folds_discriminants",
+        "test_characters::test_fundamental_discriminants",
     "characters.DirichletCharacter.raise_modulus":
         "test_characters::test_raise_modulus",
     "characters.DirichletCharacter.residue":
@@ -58,8 +58,6 @@ GUARDS = {
     "characters.kronecker":
         "test_characters::test_kronecker_against_euler_criterion",
     "characters.is_fundamental_discriminant":
-        "test_characters::test_fundamental_discriminants",
-    "characters._squarefree":
         "test_characters::test_fundamental_discriminants",
     "padic.PadicNumber.__init__":
         "test_padic::test_from_exact_matches_the_oracle",
@@ -80,7 +78,8 @@ GUARDS = {
 # check -> the functions both of its sides call
 SHARED = {
     "gross-stark": {
-        "characters._squarefree", "characters.is_fundamental_discriminant",
+        "characters._fold_discriminant",
+        "characters.is_fundamental_discriminant",
         "characters.kronecker", "padic.PadicNumber.__init__",
         "padic.PadicNumber.__mul__", "padic.PadicNumber.from_exact",
         "padic.PadicNumber.is_zero_to_precision", "padic.PadicNumber.residue",
@@ -96,7 +95,7 @@ SHARED = {
         "characters.DirichletCharacter.teichmuller_power",
         "characters.DirichletCharacter.teichmuller_twist",
         "characters._canonicalize", "characters._fold_discriminant",
-        "characters._squarefree", "characters.is_fundamental_discriminant",
+        "characters.is_fundamental_discriminant",
         "characters.kronecker", "padic.factorize", "padic.is_prime"},
     "lambda-nu": {
         "padic.PadicNumber.__init__", "padic.PadicNumber.from_exact",

@@ -101,9 +101,6 @@ def test_character_at_another_prime_is_a_domain_error():
 def test_trivial_zero_when_split():
     # chi_{-4}(5) = 1: L_p(chi omega, 0) = 0 to precision
     inst = LSeriesInstance(5, chi(-4), 12)
-    assert inst.r == 1
-    assert inst.R == frozenset({5})
-    assert inst.Rprime == frozenset()
     v = kubota_leopoldt(inst, 0)
     assert v.is_zero_to_precision()
 
@@ -111,8 +108,6 @@ def test_trivial_zero_when_split():
 def test_no_trivial_zero_when_inert():
     # chi_{-4}(7) = -1: r = 0, nonzero value
     inst = LSeriesInstance(7, chi(-4), 12)
-    assert inst.r == 0
-    assert inst.Rprime == frozenset({7})
     v = kubota_leopoldt(inst, 0)
     assert not v.is_zero_to_precision()
 
@@ -131,6 +126,24 @@ def test_derivative_finite_difference_consistency():
         inst = LSeriesInstance(p, chi(d), 10)
         val = lp_derivative_at_0(inst)
         assert isinstance(val, PadicNumber)
+
+
+@pytest.mark.parametrize("short", [None, 2, 3, 4])
+def test_finite_difference_bound_is_min_m_minus_1_and_3(monkeypatch, short):
+    # crafted jets: each (L_p(p^m) - L_p(0))/p^m misses d1 by a term of
+    # valuation exactly min(m - 1, 3), one less at m = short
+    p, inst = 5, LSeriesInstance(5, chi(-4), 12)
+    d1 = Fraction(3, 7)
+    gaps = {m: min(m - 1, 3) - (m == short) for m in (2, 3, 4)}
+    values = [p ** m * (d1 + Fraction(2 * p ** gaps[m], 11))
+              for m in (2, 3, 4)]
+    monkeypatch.setattr(lfunctions, "_series_jets", lambda *args: [
+        ((0, d1), inst.N + 4), *(([v], inst.N + 4) for v in values)])
+    if short is None:
+        assert lp_derivative_at_0(inst) == PadicNumber.from_exact(p, d1, 12)
+    else:
+        with pytest.raises(ConsistencyError, match=f"valuation {gaps[short]}"):
+            lp_derivative_at_0(inst)
 
 
 def test_order_probe():
@@ -172,7 +185,6 @@ def test_order_probe_tolerance_is_n_minus_2(monkeypatch, vals, bound,
 def test_analytic_invariant_rank1():
     inst = LSeriesInstance(5, chi(-4), 12)
     l_an, classical = analytic_invariant(inst)
-    assert inst.r == 1
     assert classical == Fraction(1, 2)
     # L_an = L_p'(0) / L(chi, 0) = 2 L_p'(0)
     assert l_an.residue(12) == (2 * 1352422578 * 5) % 5 ** 12
@@ -186,7 +198,6 @@ def test_analytic_invariant_rank0_raises_domain_error(monkeypatch):
 
     monkeypatch.setattr(lfunctions, "_series_jets", unbuilt)
     inst = LSeriesInstance(7, chi(-4), 12)
-    assert inst.r == 0
     with pytest.raises(DomainError, match="r = 1"):
         analytic_invariant(inst)
 

@@ -2,11 +2,11 @@
 
     python3 tools/mutants.py
 
-The tree (src/, tests/, pyproject.toml) is copied to a temporary directory;
-the working tree is never written.  Tier-1 must pass on the unmutated copy
-first, in pytest's default order.  Then, for each mutant, the original line
-must occur exactly once in its file; the mutant replaces it, tier-1 runs on
-the copy with `-x`, and the file is restored.  A mutant of <stem>.py runs
+The tree (src/, tests/, pyproject.toml, README.md) is copied to a temporary
+directory; the working tree is never written.  Tier-1 must pass on the
+unmutated copy first, in pytest's default order.  Then, for each mutant,
+the original line must occur exactly once in its file; the mutant replaces
+it, tier-1 runs on the copy with `-x`, and the file is restored.  A mutant of <stem>.py runs
 tests/test_<stem>.py first, where there is one, and then every other test
 file, so most mutants stop at their own module's tests.  A mutant survives
 when every test file still passes under it.
@@ -261,9 +261,25 @@ MUTANTS = [
      "    if False:\n",
      "let gross-stark run without the exceptional zero"),
     ("lfunctions.py",
-     "    if instance.r != 1:\n",
+     "    if instance.chi(instance.p) != 1:\n",
      "    if False:\n",
      "analytic_invariant admits r = 0"),
+    ("lfunctions.py",
+     "        if v_p(fd - d1, p) < min(m - 1, check_to):\n",
+     "        if v_p(fd - d1, p) <= min(m - 1, check_to):\n",
+     "reject a finite difference that meets its bound exactly"),
+    ("characters.py",
+     "    return d != 0 and _fold_discriminant(d)[0] == d\n",
+     "    return _fold_discriminant(d)[0] == d\n",
+     "let is_fundamental_discriminant fold 0"),
+    ("qexp.py",
+     "    if chi(p) not in (0, 1):\n",
+     "    if chi(p) != 0:\n",
+     "send a split p into build_Fk's R' branch"),
+    ("walgebra.py",
+     "                w_inv = one / W\n",
+     "                w_inv = W\n",
+     "let case 2 use W where it needs 1/W"),
     ("padic.py",
      "    def __delattr__(self, name):\n",
      "    def _delattr(self, name):\n",
@@ -377,7 +393,8 @@ def main() -> int:
         skip = shutil.ignore_patterns("__pycache__", "*.pyc")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, tree / name, ignore=skip)
-        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, tree / name)
         if not tier1(tree):
             print("tier-1 fails on the unmutated tree", file=sys.stderr)
             return 2
