@@ -7,8 +7,9 @@ A character is stored in a canonical factored form
 with disc a fundamental discriminant (or 1), omega_p the Teichmueller
 character at an odd prime p, and a set of primes at which the modulus was
 raised.  Quadratic Teichmueller powers are folded into disc (via the prime
-discriminant p* = (-1)^((p-1)/2) p), so values are exact Fractions whenever
-the character is real, and PadicNumbers otherwise.
+discriminant p* = (-1)^((p-1)/2) p), and a p* in the disc of an
+omega-carrying character moves into its omega power, so values are exact
+Fractions whenever the character is real, and PadicNumbers otherwise.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class DirichletCharacter(Immutable):
 
     @classmethod
     def teichmuller_power(cls, p: int, m: int = 1) -> "DirichletCharacter":
-        return cls(1, p, m % (p - 1))
+        return cls(1, p, m)
 
     # -- structure ----------------------------------------------------
 
@@ -194,26 +195,21 @@ class DirichletCharacter(Immutable):
         if self.p and other.p and self.p != other.p:
             raise DomainError("characters live at different primes")
         D0, extra = _fold_discriminant(self.disc * other.disc)
-        om = 0
-        if p:
-            if D0 % p == 0:
-                D0 //= prime_discriminant(p)
-                om = (p - 1) // 2
-            om = (om + self.om_exp + other.om_exp) % (p - 1)
-        return DirichletCharacter(D0, p, om, self.zeros | other.zeros | extra)
+        return DirichletCharacter(D0, p, self.om_exp + other.om_exp,
+                                  self.zeros | other.zeros | extra)
 
     def inverse(self) -> "DirichletCharacter":
         if self.om_exp == 0:
             return self
-        return DirichletCharacter(
-            self.disc, self.p, (-self.om_exp) % (self.p - 1), self.zeros)
+        return DirichletCharacter(self.disc, self.p, -self.om_exp, self.zeros)
 
     def teichmuller_twist(self, j: int, p: int) -> "DirichletCharacter":
         """chi * omega_p^j, with the result's modulus always divisible by p."""
         if self.p not in (None, p):
             raise DomainError(f"chi carries omega_{self.p}; it cannot be "
                               f"twisted by omega_{p}")
-        return (self * DirichletCharacter.teichmuller_power(p, j)).raise_modulus({p})
+        return DirichletCharacter(self.disc, p, self.om_exp + j,
+                                  self.zeros | {p})
 
 
 def _canonicalize(disc, p, om_exp, zeros):
@@ -222,17 +218,17 @@ def _canonicalize(disc, p, om_exp, zeros):
     if p is not None:
         if p < 3 or not is_prime(p):
             raise DomainError(f"{p} is not an odd prime")
+        if disc % p == 0:
+            # chi_{p*} = omega^((p-1)/2) off p: p* moves into the omega power
+            disc //= prime_discriminant(p)
+            om_exp += (p - 1) // 2
         om_exp %= p - 1
         if om_exp == (p - 1) // 2:
             # quadratic Teichmueller power folds into the discriminant
-            if disc % p == 0:
-                raise DomainError("p divides the discriminant of an omega-carrying character")
             disc *= prime_discriminant(p)
             om_exp = 0
         if om_exp == 0:
             p = None
-        elif disc % p == 0:
-            raise DomainError("p divides the discriminant of an omega-carrying character")
     conductor = abs(disc) * (p if om_exp else 1)
     zeros = frozenset(q for q in zeros if conductor % q != 0)
     for q in zeros:

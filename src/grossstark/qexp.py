@@ -222,7 +222,7 @@ def hida_surrogate(k: int, p: int, n_q: int, prec: int | None = None) -> QExpans
     specialization.  Raises DegenerateInstanceError when the normalizing
     constant term vanishes.
     """
-    om = DirichletCharacter.teichmuller_power(p, (-k) % (p - 1))
+    om = DirichletCharacter.teichmuller_power(p, -k)
     g = eisenstein(k, om, (p,), n_q, prec)
     c0 = g.coeff(0)
     if is_zero(c0):
@@ -261,7 +261,7 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
     main = eisenstein(k, tw, (), n_q, pr(tw))
     lp_val = 2 * main.coeff(0)
     G = hida_surrogate(k - 1, p, n_q,
-                       pr(DirichletCharacter.teichmuller_power(p, (1 - k) % (p - 1))))
+                       pr(DirichletCharacter.teichmuller_power(p, 1 - k)))
     if chi(p) not in (0, 1):
         aux = chi.raise_modulus({p})
         denom = classical_L_at_nonpositive(aux, 0, pr(aux))
@@ -282,7 +282,7 @@ def build_Fk(k: int, chi: DirichletCharacter, p: int, n_q: int = 200,
                     "the W-ratio is undefined")
             wcoeff = ratio * (classical_L_at_nonpositive(chi.inverse(), 0, wprec)
                               / lp_inv)
-        om_part = DirichletCharacter.teichmuller_power(p, (1 - k) % (p - 1))
+        om_part = DirichletCharacter.teichmuller_power(p, 1 - k)
         # a precision as soon as either character is p-adic
         extra = eisenstein_two_char(k, chi, om_part, n_q, pr(chi) or pr(om_part))
         F = main - eisenstein(1, chi, (), n_q, pr(chi)) * G * ratio + extra * wcoeff

@@ -19,8 +19,7 @@ import math
 from fractions import Fraction
 
 from .characters import kronecker, is_fundamental_discriminant
-from .errors import (ConsistencyError, DomainError, PrecisionError,
-                     RamifiedError)
+from .errors import ConsistencyError, DomainError, PrecisionError
 from .padic import Immutable, PadicNumber, cornacchia, hensel_sqrt, plog
 
 _W_MARGIN = 4
@@ -119,19 +118,18 @@ def class_number(d: int) -> int:
 def find_p_unit(d: int, p: int, N: int = 12) -> PUnitCertificate:
     """Find the minimal-power generator pi of P^h and certify u = pi/pibar.
 
-    Searches h = 1, 2, ..., h(d) for a primitive solution of
-    x^2 + |d| y^2 = 4 p^h; the minimal h is the order of P in the class
-    group, which divides h(d), so an empty search is a fault of the program
-    (ConsistencyError).  The embedding root w is the deterministic Hensel
-    lift of sqrt(d), computed with enough slack that l(u) retains at least
-    N digits.
+    This is the one test that p splits: chi_d(p) = -1 (inert) or 0
+    (ramified) raises DomainError.  Searches h = 1, 2, ..., h(d) for a
+    primitive solution of x^2 + |d| y^2 = 4 p^h; the minimal h is the order
+    of P in the class group, which divides h(d), so an empty search is a
+    fault of the program (ConsistencyError).  The embedding root w is the
+    deterministic Hensel lift of sqrt(d), computed with enough slack that
+    l(u) retains at least N digits.
     """
     if d >= 0 or not is_fundamental_discriminant(d):
         raise DomainError(f"d = {d} is not a negative fundamental discriminant")
-    if d % p == 0:
-        raise RamifiedError(f"p = {p} ramifies in Q(sqrt({d}))")
-    if kronecker(d, p) != 1:
-        raise DomainError(f"p = {p} is inert in Q(sqrt({d}))")
+    if (k := kronecker(d, p)) != 1:
+        raise DomainError(f"p = {p} is not split in Q(sqrt({d})): chi({p}) = {k}")
     hd = class_number(d)
     for h in range(1, hd + 1):
         sol = cornacchia(-d, p ** h)

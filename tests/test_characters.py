@@ -14,7 +14,7 @@ from grossstark.characters import (BernoulliCache, DirichletCharacter,
                                    is_fundamental_discriminant, kronecker,
                                    prime_discriminant, set_shared_cache)
 from grossstark.errors import ConsistencyError, DomainError, PrecisionError
-from grossstark.padic import PadicNumber, teichmuller
+from grossstark.padic import PadicNumber, teichmuller, teichmuller_lift
 
 
 # -- kronecker oracle ------------------------------------------------------
@@ -132,6 +132,23 @@ def test_teichmuller_power_canonicalization():
     # at p=3, omega is the quadratic character mod 3
     assert DirichletCharacter.teichmuller_power(3, 1) == \
         DirichletCharacter.quadratic(-3)
+
+
+def test_constructor_moves_p_star_into_omega():
+    # chi_d omega^j at every a prime to dp, p | d included: the constructor
+    # is the one place that moves p* between disc and omega^((p-1)/2)
+    discs = [d for d in range(-59, 60) if is_fundamental_discriminant(d)]
+    for p in (3, 5, 7):
+        pm = p ** 6
+        lifts = [0] + [teichmuller_lift(r, p, 6) for r in range(1, p)]
+        for d in discs:
+            units = [a for a in range(1, 2 * abs(d) * p + 1)
+                     if math.gcd(a, d * p) == 1]
+            for j in range(p - 1):
+                chi = DirichletCharacter(d, p, j)
+                for a in units:
+                    want = kronecker(d, a) * pow(lifts[a % p], j, pm) % pm
+                    assert chi.residue(a, 6) % pm == want, (d, p, j, a)
 
 
 def test_character_product_folds_discriminants():

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from grossstark import __version__, cli, lfunctions
-from grossstark.characters import BernoulliCache, bernoulli_number
+from grossstark.characters import (BernoulliCache, DirichletCharacter,
+                                   bernoulli_number)
 from grossstark.cli import (CONCLUSIVE_PRECISION, ReportBuilder, RunConfig,
                             UsageError, main)
 from grossstark.errors import (ConstructionError, DegenerateInstanceError,
@@ -741,7 +742,9 @@ def test_golden_transcript(name, capsys, tmp_path):
 
 # -- precision gate ---------------------------------------------------------------
 
-@pytest.mark.parametrize("exc", [DegenerateInstanceError, ConstructionError])
+@pytest.mark.parametrize("exc", [DegenerateInstanceError, ConstructionError,
+                                 ValueError, ZeroDivisionError,
+                                 RecursionError])
 def test_library_errors_become_error_records(exc):
     # one failing instance is recorded and the batch goes on
     rb = ReportBuilder(RunConfig("gross-stark", discs=(-4,)))
@@ -757,6 +760,87 @@ def test_library_errors_become_error_records(exc):
     assert "error" not in ok
     assert [c["status"] for c in rb.checks] == ["error", "pass"]
     assert rb.exit_code() == 1
+
+
+def first_call_raises(real, exc=ValueError):
+    """real, except that its first call raises exc("injected fault")."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise exc("injected fault")
+        return real(*args, **kwargs)
+    return patched
+
+
+def records(argv, capsys, tmp_path):
+    """The exit code and the --json report's records, minus ms."""
+    path = tmp_path / "r.json"
+    code = main(argv + ["--json", str(path)])
+    capsys.readouterr()
+    return code, masked(json.loads(path.read_text()))["checks"]
+
+
+# command -> (argv, a function its checks call through cli, the index of the
+# first record whose check calls it)
+FAULTS = {
+    "gross-stark": (["gross-stark", "--p", "3", "--disc", "-8", "--disc",
+                     "-11"], "gross_regulator_rank1", 0),
+    "interp": (["interp", "--p", "5", "--disc", "-4", "--prec", "8"],
+               "lstar", 0),
+    "hecke": (["hecke", "--p", "5", "--disc", "-4", "--qexp-terms", "40"],
+              "verify_up_relation", 0),
+    "lambda": (["lambda", "--p", "5"], "nu_k", 0),
+    "w-algebra": (["w-algebra", "--trials", "2"], "case2_det_identity", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAULTS))
+def test_a_fault_ends_only_its_own_record(command, capsys, tmp_path,
+                                          monkeypatch):
+    # a program fault in one check is one error record; every other record
+    # is the one the run makes without the fault
+    argv, name, at = FAULTS[command]
+    _, want = records(argv, capsys, tmp_path)
+    monkeypatch.setattr(cli, name, first_call_raises(getattr(cli, name)))
+    code, got = records(argv, capsys, tmp_path)
+    assert code == 1
+    assert got[at] == {"id": want[at]["id"], "instance": want[at]["instance"],
+                       "status": "error", "discrepancy_valuation": None,
+                       "detail": "injected fault", "error": "ValueError"}
+    assert got[:at] + got[at + 1:] == want[:at] + want[at + 1:]
+
+
+def test_a_fault_building_the_character_ends_only_its_records(
+        capsys, tmp_path, monkeypatch):
+    # each check builds its own character, so a fault there is caught too
+    _, want = records(["interp", "--p", "5", "--disc", "-11"], capsys,
+                      tmp_path)
+    real = DirichletCharacter.quadratic
+
+    def quadratic(cls, d):
+        if d == -8:
+            raise ValueError("injected fault")
+        return real(d)
+
+    monkeypatch.setattr(DirichletCharacter, "quadratic",
+                        classmethod(quadratic))
+    code, got = records(["interp", "--p", "5", "--disc", "-8", "--disc",
+                         "-11"], capsys, tmp_path)
+    assert code == 1
+    assert got[:4] == [{"id": "interp", "instance": f"p=5 d=-8 n={n}",
+                        "status": "error", "discrepancy_valuation": None,
+                        "detail": "injected fault", "error": "ValueError"}
+                       for n in (0, -1, -2, -3)]
+    assert got[4:] == want
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_still_stops_the_batch(exc, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lstar", first_call_raises(cli.lstar, exc))
+    with pytest.raises(exc):
+        main(["interp", "--p", "5", "--disc", "-4", "--prec", "8"])
 
 
 def test_low_precision_downgrades_to_inconclusive(capsys, tmp_path):

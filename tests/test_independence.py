@@ -1,11 +1,12 @@
 """The two sides of an identity share only inputs that a third check guards.
 
-Each side of one `gross-stark`, one `interp` and one `lambda-nu` check
-runs under `sys.setprofile` and records the `src/` functions it calls.  The
-functions both sides call must be exactly the committed shared inputs
-below, and each names the tier-1 test that checks it against something neither side
-computes.  A side that starts routing through the other's code (the series
-engine, the p-unit search) adds names to the intersection and fails here.
+Each side of one `gross-stark` check, its class-number formula, `interp`
+at each n it checks and one `lambda-nu` check runs under `sys.setprofile`
+and records the `src/` functions it calls.  The functions both sides call
+must be exactly the committed shared inputs below, and each names the
+tier-1 test that checks it against something neither side computes.  A
+side that starts routing through the other's code (the series engine, the
+p-unit search) adds names to the intersection and fails here.
 """
 
 import importlib
@@ -21,9 +22,11 @@ from grossstark import characters, padic
 from grossstark.characters import BernoulliCache, DirichletCharacter
 from grossstark.lambdaring import epsilon_char, nu_k
 from grossstark.lfunctions import (LSeriesInstance, analytic_invariant,
+                                   classical_L_at_nonpositive,
                                    kubota_leopoldt, lstar)
 from grossstark.padic import angle_bracket
-from grossstark.regulator import find_p_unit, gross_regulator_rank1
+from grossstark.regulator import (class_number, find_p_unit,
+                                  gross_regulator_rank1)
 
 SRC = os.path.dirname(os.path.abspath(characters.__file__))
 
@@ -41,18 +44,12 @@ GUARDS = {
         "test_characters::test_quadratic_character_values",
     "characters.DirichletCharacter.conductor":
         "test_characters::test_quadratic_character_values",
-    "characters.DirichletCharacter.__mul__":
-        "test_characters::test_character_product_folds_discriminants",
     "characters._fold_discriminant":
         "test_characters::test_fundamental_discriminants",
-    "characters.DirichletCharacter.raise_modulus":
-        "test_characters::test_raise_modulus",
     "characters.DirichletCharacter.residue":
         "test_characters::test_residue_is_the_value_as_an_int",
-    "characters.DirichletCharacter.teichmuller_power":
-        "test_characters::test_teichmuller_power_canonicalization",
     "characters._canonicalize":
-        "test_characters::test_teichmuller_power_canonicalization",
+        "test_characters::test_constructor_moves_p_star_into_omega",
     "characters.DirichletCharacter.teichmuller_twist":
         "test_characters::test_teichmuller_twist_always_carries_p",
     "characters.kronecker":
@@ -73,7 +70,24 @@ GUARDS = {
     "padic.v_p": "test_padic::test_v_p_basics",
     "padic.factorize": "test_padic::test_factorize",
     "padic.is_prime": "test_padic::test_is_prime_against_a_sieve",
+    "padic.teichmuller_lift": "test_padic::test_teichmuller_binding_values",
 }
+
+# interp's two sides at an even n, where the twist chi omega^n is real
+INTERP = {
+    "characters.BernoulliCache.number", "characters.bernoulli_number",
+    "characters._bernoulli_range", "characters._bernoulli_table_valid",
+    "characters.DirichletCharacter.__init__",
+    "characters.DirichletCharacter.conductor",
+    "characters.DirichletCharacter.residue",
+    "characters.DirichletCharacter.teichmuller_twist",
+    "characters._canonicalize", "characters._fold_discriminant",
+    "characters.is_fundamental_discriminant",
+    "characters.kronecker", "padic.factorize", "padic.is_prime"}
+# at an odd n the twist is p-adic valued, and both sides build p-adic values
+INTERP_ODD = INTERP | {
+    "padic.PadicNumber.__init__", "padic.PadicNumber.from_exact",
+    "padic.teichmuller_lift", "padic.v_p"}
 
 # check -> the functions both of its sides call
 SHARED = {
@@ -84,19 +98,11 @@ SHARED = {
         "padic.PadicNumber.__mul__", "padic.PadicNumber.from_exact",
         "padic.PadicNumber.is_zero_to_precision", "padic.PadicNumber.residue",
         "padic.factorize", "padic.is_prime", "padic.plog", "padic.v_p"},
-    "interp": {
-        "characters.BernoulliCache.number", "characters.bernoulli_number",
-        "characters._bernoulli_range", "characters._bernoulli_table_valid",
-        "characters.DirichletCharacter.__init__",
-        "characters.DirichletCharacter.__mul__",
-        "characters.DirichletCharacter.conductor",
-        "characters.DirichletCharacter.raise_modulus",
-        "characters.DirichletCharacter.residue",
-        "characters.DirichletCharacter.teichmuller_power",
-        "characters.DirichletCharacter.teichmuller_twist",
-        "characters._canonicalize", "characters._fold_discriminant",
-        "characters.is_fundamental_discriminant",
-        "characters.kronecker", "padic.factorize", "padic.is_prime"},
+    "class-number": set(),
+    "interp": INTERP,
+    "interp n=0": INTERP,
+    "interp n=-1": INTERP_ODD,
+    "interp n=-3": INTERP_ODD,
     "lambda-nu": {
         "padic.PadicNumber.__init__", "padic.PadicNumber.from_exact",
         "padic.is_prime", "padic.v_p"},
@@ -114,14 +120,23 @@ def _nu_of_epsilon():
     return [nu_k(h, k) for k in KS]
 
 
+def _interp(n):
+    return (lambda: kubota_leopoldt(LSeriesInstance(P, CHI, N), n),
+            lambda: lstar(CHI.teichmuller_twist(n, P), n, P, prec=N + 4))
+
+
 # check -> its two sides, each a call made the way cli makes it
 SIDES = {
     "gross-stark": (
         lambda: analytic_invariant(LSeriesInstance(P, CHI, N)),
         lambda: gross_regulator_rank1(find_p_unit(D, P, N=N))),
-    "interp": (
-        lambda: kubota_leopoldt(LSeriesInstance(P, CHI, N), S),
-        lambda: lstar(CHI.teichmuller_twist(S, P), S, P, prec=N + 4)),
+    # h(d) = (w/2) L(chi_d, 0), with w/2 = 2 at d = -4
+    "class-number": (
+        lambda: class_number(D),
+        lambda: 2 * classical_L_at_nonpositive(CHI, 0)),
+    # interp at S = -2, and at the other n that cli checks
+    "interp": _interp(S),
+    **{f"interp n={n}": _interp(n) for n in (0, -1, -3)},
     "lambda-nu": (
         _nu_of_epsilon,
         lambda: [angle_bracket(X, P, N + 2) ** (k - 1) for k in KS]),

@@ -78,8 +78,6 @@ ALLOWED = [
     ("characters.py", "DirichletCharacter.__mul__",
      'raise DomainError("characters live at different primes")', GUARD),
     ("characters.py", "_canonicalize",
-     'raise DomainError("p divides the discriminant of an omega-carrying character")', GUARD),
-    ("characters.py", "_canonicalize",
      'raise DomainError(f"forced zero at non-prime {q}")', GUARD),
     ("characters.py", "BernoulliCache.number",
      'raise DomainError("Bernoulli numbers need n >= 0")', GUARD),

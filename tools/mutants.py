@@ -233,6 +233,18 @@ MUTANTS = [
      '            status, val, detail = "fail", None, str(exc)\n',
      "report a check's PrecisionError as fail"),
     ("cli.py",
+     "        except Exception as exc:  # any other fault: the batch goes on\n",
+     "        except ValueError as exc:  # any other fault: the batch goes on\n",
+     "let a fault that is not a ValueError escape the batch"),
+    ("characters.py",
+     "            om_exp += (p - 1) // 2\n",
+     "            pass\n",
+     "move p* out of disc without its omega power"),
+    ("characters.py",
+     "            disc //= prime_discriminant(p)\n",
+     "            disc //= p\n",
+     "move p out of disc in place of p*"),
+    ("cli.py",
      '                detail = (detail or "") + " [low precision]"\n',
      "                pass\n",
      "drop the [low precision] suffix of a downgraded fail"),
