@@ -367,23 +367,17 @@ def _bernoulli_table_valid(table, start=1):
 
 
 _default_cache = BernoulliCache()
-_shared_cache: BernoulliCache | None = None
+_cache = _default_cache  # the table bernoulli_number reads
 
 
 def bernoulli_number(n: int) -> Fraction:
-    cache = _shared_cache if _shared_cache is not None else _default_cache
-    return cache.number(n)
+    return _cache.number(n)
 
 
 def set_shared_cache(cache: BernoulliCache | None):
     """Install a cache for Bernoulli numbers; None reverts to the in-memory default."""
-    global _shared_cache
-    _shared_cache = cache
-
-
-def shared_cache() -> BernoulliCache | None:
-    """The explicitly installed cache, or None if only the default is active."""
-    return _shared_cache
+    global _cache
+    _cache = cache or _default_cache
 
 
 def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int | None = None):

@@ -27,15 +27,14 @@ from itertools import count, islice
 
 from . import __version__
 from .characters import (BernoulliCache, DirichletCharacter,
-                         is_fundamental_discriminant, set_shared_cache,
-                         shared_cache)
+                         is_fundamental_discriminant, set_shared_cache)
 from .errors import ConsistencyError, PrecisionError
 from .lambdaring import (DEFAULT_TRUNCATION, epsilon_char, nu_k, pi_normalize,
                          uniformizer)
 from .lfunctions import (CONCLUSIVE_PRECISION, LSeriesInstance,
                          analytic_invariant, kubota_leopoldt, lstar,
                          working_precision)
-from .padic import Immutable, PadicNumber, angle_bracket, is_prime, is_zero
+from .padic import Immutable, PadicNumber, angle_bracket, is_prime
 from .qexp import eisenstein, hecke_T, verify_up_relation
 from .regulator import class_number, find_p_unit, gross_regulator_rank1
 from .walgebra import (Laurent, build_W, case1_det_identity,
@@ -185,16 +184,11 @@ class ReportBuilder:
         return rec
 
     def report(self) -> dict:
-        meta = {}
-        cache = shared_cache()
-        if cache is not None:
-            meta["bernoulli_computed"] = cache.computed_count
         return {
             "version": __version__,
             "config": self.config.echo(),
             "checks": self.checks,
             "warnings": self.warnings,
-            **({"meta": meta} if meta else {}),
         }
 
     def exit_code(self) -> int:
@@ -206,6 +200,23 @@ class ReportBuilder:
 def _valuation(x: PadicNumber):
     v = x.valuation
     return None if v == math.inf else v
+
+
+def _least_valuation(diffs):
+    """The verdict of interp, lambda-nu and lambda-normalize over their
+    (label, diff, target) triples, read in order: a diff that is zero to its
+    precision is skipped, the first one below its target fails, and
+    otherwise the check passes with the least valuation seen (None when
+    every diff was zero)."""
+    least = None
+    for label, diff, target in diffs:
+        if diff.is_zero_to_precision():
+            continue
+        v = diff.valuation
+        if v < target:
+            return "fail", v, f"{label}valuation {v} < {target}"
+        least = v if least is None else min(least, v)
+    return "pass", least, None
 
 
 # -- subcommands -----------------------------------------------------------
@@ -223,14 +234,8 @@ def cmd_interp_check(config: RunConfig):
                     series = kubota_leopoldt(instance, n)
                     exact = lstar(chi.teichmuller_twist(n, p), n, p,
                                   prec=series.precision + 4)
-                    diff = series - exact
-                    target = config.prec - 2
-                    if is_zero(diff):
-                        return "pass", None, None
-                    val = diff.valuation
-                    if val >= target:
-                        return "pass", val, None
-                    return "fail", val, f"discrepancy valuation {val} < {target}"
+                    return _least_valuation(
+                        [("discrepancy ", series - exact, config.prec - 2)])
 
                 yield "interp", f"p={p} d={d} n={n}", check
 
@@ -369,17 +374,13 @@ def cmd_lambda_check(config: RunConfig):
         for x in units:
             def check(p=p, x=x):
                 h = epsilon_char(x, p, M=M, N=N)
-                worst = None
-                for k in dict.fromkeys((1, 2, 3, 5, 1 + (p - 1))):
-                    got = nu_k(h, k)
-                    want = angle_bracket(x, p, got.precision + 2) ** (k - 1)
-                    diff = got - want
-                    if not diff.is_zero_to_precision():
-                        v = diff.valuation
-                        worst = v if worst is None else min(worst, v)
-                        if v < N - 3:
-                            return "fail", v, f"k={k} valuation {v} < {N - 3}"
-                return "pass", worst, None
+
+                def diffs():
+                    for k in dict.fromkeys((1, 2, 3, 5, 1 + (p - 1))):
+                        got = nu_k(h, k)
+                        want = angle_bracket(x, p, got.precision + 2) ** (k - 1)
+                        yield f"k={k} ", got - want, N - 3
+                return _least_valuation(diffs())
 
             yield "lambda-nu", f"p={p} x={x}", check
 
@@ -388,19 +389,14 @@ def cmd_lambda_check(config: RunConfig):
             h = h0 - h0.coeff(0)  # vanishes at T = 0
             n, hp = pi_normalize(h)
             lead = hp.coeff(0)  # nu_1 of the normalized series
-            worst = None
-            for m in (2, 3):
-                k = 1 + p ** m
-                num = nu_k(h, k)
-                den = nu_k(uniformizer(p, M, num.precision + 4), k) ** n
-                fd = num * den.inverse()
-                diff = fd - lead
-                if not diff.is_zero_to_precision():
-                    v = diff.valuation
-                    worst = v if worst is None else min(worst, v)
-                    if v < m - 1:
-                        return "fail", v, f"m={m} valuation {v} < {m - 1}"
-            return "pass", worst, None
+
+            def diffs():
+                for m in (2, 3):
+                    k = 1 + p ** m
+                    num = nu_k(h, k)
+                    den = nu_k(uniformizer(p, M, num.precision + 4), k) ** n
+                    yield f"m={m} ", num * den.inverse() - lead, m - 1
+            return _least_valuation(diffs())
 
         yield "lambda-normalize", f"p={p}", bridge
 
@@ -476,6 +472,8 @@ def main(argv=None) -> int:
         for check_id, instance, check in COMMANDS[config.command](config):
             rb.run(check_id, instance, check)
         report = rb.report()
+        if cache is not None:
+            report["meta"] = {"bernoulli_computed": cache.computed_count}
     finally:
         if cache is not None:
             set_shared_cache(None)

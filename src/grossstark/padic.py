@@ -250,17 +250,10 @@ def is_zero(x) -> bool:
     return not x
 
 
-_PRIMES_SEEN = set()
-
-
+@functools.cache
 def is_prime(n: int) -> bool:
-    """Primality by `factorize`; primes already seen are remembered."""
-    if n in _PRIMES_SEEN:
-        return True
-    if n < 2 or factorize(n) != [(n, 1)]:
-        return False
-    _PRIMES_SEEN.add(n)
-    return True
+    """Primality by `factorize`, memoised."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def plog(x: PadicNumber) -> PadicNumber:

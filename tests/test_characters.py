@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from math import comb, prod
 
@@ -581,3 +582,25 @@ def test_invalid_inputs():
         DirichletCharacter.quadratic(-5)
     with pytest.raises(DomainError):
         DirichletCharacter.teichmuller_power(4, 1)  # not an odd prime
+
+
+# -- input guards ----------------------------------------------------------
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: characters._fold_discriminant(0), DomainError,
+     "zero discriminant"),
+    (lambda: DirichletCharacter(1, 5, 1) * DirichletCharacter(1, 7, 1),
+     DomainError, "characters live at different primes"),
+    (lambda: DirichletCharacter(-4, None, 0, frozenset({9})), DomainError,
+     "forced zero at non-prime 9"),
+    (lambda: BernoulliCache().number(-1), DomainError,
+     "Bernoulli numbers need n >= 0"),
+    (lambda: gen_bernoulli(0, DirichletCharacter.quadratic(-4)), DomainError,
+     "gen_bernoulli needs n >= 1"),
+    (lambda: gen_bernoulli(2, DirichletCharacter(1, 5, 1)), PrecisionError,
+     "character is p-adic valued; a precision is required"),
+], ids=["zero-disc", "two-primes", "non-prime-zero", "negative-n",
+        "gen-n-0", "gen-no-prec"])
+def test_input_guards(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -1056,5 +1056,5 @@ def test_failing_cache_save_exits_2(capsys, tmp_path):
     assert "cannot save the cache" in err
     # the report is still written, and the shared cache is unhooked
     assert json.loads(report_path.read_text())["checks"]
-    from grossstark.characters import shared_cache
-    assert shared_cache() is None
+    from grossstark import characters
+    assert characters._cache is characters._default_cache

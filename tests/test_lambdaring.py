@@ -6,11 +6,36 @@ import pytest
 
 from grossstark.errors import DomainError, IndeterminateOrderError
 from grossstark.lambdaring import (DEFAULT_TRUNCATION, LambdaElement,
-                                   epsilon_char, nu_k, pi_normalize,
+                                   _log_u, epsilon_char, nu_k, pi_normalize,
                                    topological_generator, uniformizer)
 from grossstark.padic import PadicNumber, angle_bracket, plog, v_p
 
 from test_precision import check_row
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_topological_generator_is_one_mod_p_only(p):
+    # u = 1 mod p and u != 1 mod p^2: u generates the principal units
+    u = topological_generator(p)
+    assert u % p == 1 and u % p ** 2 != 1
+
+
+@pytest.mark.parametrize("p, N", [(3, 2), (3, 20), (5, 12), (13, 7)])
+def test_log_u_matches_the_series(p, N):
+    # log(1 + p) = sum_k (-1)^(k+1) p^k / k, whose terms past k = 3N have
+    # valuation k - v_p(k) > N
+    series = sum(Fraction((-1) ** (k + 1) * p ** k, k) for k in range(1, 3 * N))
+    assert _log_u(p, N) == PadicNumber.from_exact(p, series, N)
+
+
+def test_coefficients_are_padded_and_cut_at_M():
+    short = LambdaElement(5, [3, 0, Fraction(1, 2)], M=5, N=6)
+    assert len(short.coeffs) == 6
+    assert short.coeff(0) == PadicNumber.from_exact(5, 3, 6)
+    assert short.coeff(2) == PadicNumber.from_exact(5, Fraction(1, 2), 6)
+    assert all(short.coeff(i).exact_zero for i in (1, 3, 4, 5))
+    long = LambdaElement(5, range(1, 10), M=3, N=6)
+    assert [c.residue(6) for c in long.coeffs] == [1, 2, 3, 4]
 
 
 def test_nu_k_on_T():
@@ -207,3 +232,12 @@ def test_pi_normalize_declares_only_known_digits(p):
                 pi_k = nu_k(uniformizer(p, M + 20, num.precision + 4), k)
                 assert got.same_to(num / pi_k ** n, got.precision), \
                     (x, M, k, got.precision)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: LambdaElement(5, [1]), DomainError,
+     "exact coefficients need a target precision N"),
+], ids=["exact-without-N"])
+def test_input_guards(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

@@ -2,11 +2,11 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from grossstark import padic
 from grossstark.characters import (DirichletCharacter,
                                    is_fundamental_discriminant, kronecker)
 from grossstark.cli import RunConfig
@@ -99,12 +99,13 @@ def test_exact_scalar_coercion():
 def test_exact_zero_vs_precision_zero():
     z = PadicNumber.zero(5)
     assert z.exact_zero
-    assert z.valuation == math.inf
+    assert z.valuation == math.inf and z.precision == math.inf
     assert z.residue(3) == 0 and z.truncate(3) is z
     assert z == 0 and z != 1 and z == PadicNumber.zero(5)
     pz = N(5, 5**12)  # valuation beyond recorded precision
     assert not pz.exact_zero
     assert pz.is_zero_to_precision()
+    assert pz.precision == 12 and N(5, 7, 9).precision == 9
     assert pz != z and z != pz
     with pytest.raises(PrecisionError):
         (z + 3).residue(1)  # exact zero + scalar needs a precision context
@@ -259,8 +260,8 @@ def test_pow_matches_square_and_multiply():
                     (False, False, True), (False, False, False)}
 
 
-def test_is_prime_matches_trial_division(monkeypatch):
-    monkeypatch.setattr(padic, "_PRIMES_SEEN", set())  # no memo hits
+def test_is_prime_matches_trial_division():
+    is_prime.cache_clear()  # no memo hits
     for n in range(-5, 5000):
         assert is_prime(n) == _is_prime_oracle(n), n
     for n in range(2000):  # and again, through the memo
@@ -558,3 +559,27 @@ def test_truncate_and_same_to():
     assert a.same_to(b, 6)
     assert a.same_to(a + 5 ** 6, 6)
     assert not a.same_to(a + 5 ** 3, 6)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: PadicNumber(5, 0, 1, 2).residue(3), PrecisionError,
+     "known only modulo 5^2, need 3"),
+    (lambda: PadicNumber(5, -1, 1, 3).residue(2), DomainError,
+     "negative valuation has no integer residue"),
+    (lambda: PadicNumber(5, 0, 1, 2).truncate(3), PrecisionError,
+     "cannot truncate upward"),
+    (lambda: PadicNumber(5, 0, 1, 2).same_to(1, 3), PrecisionError,
+     "difference known only modulo 5^2"),
+    (lambda: PadicNumber(5, 0, 1, 2) / 0, ZeroDivisionError,
+     "division by zero"),
+    (lambda: plog(PadicNumber.zero(5)), DomainError, "plog of zero"),
+    (lambda: plog(PadicNumber(5, 1, 2, 2)), PrecisionError,
+     "plog needs at least 2 digits of the unit part"),
+    (lambda: teichmuller(10, 5, 3), DomainError, "10 is divisible by 5"),
+    (lambda: angle_bracket(10, 5, 3), DomainError, "10 is divisible by 5"),
+], ids=["residue-past-precision", "residue-of-negative-v", "truncate-up",
+        "same-to-past-precision", "divide-by-0", "plog-0", "plog-one-digit",
+        "teichmuller-of-p", "angle-bracket-of-p"])
+def test_input_guards(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -432,3 +432,13 @@ def test_up_relation_reports_each_branch(monkeypatch):
     assert _up_relation_with(monkeypatch, same, unraised) == ("branch1", 0)
     assert _up_relation_with(monkeypatch, same, wrong_past_horizon) == \
         ("branch2", 2)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: eisenstein(0, chi(-4)), DomainError, "weight must be at least 1"),
+    (lambda: eisenstein_two_char(0, chi(-4), chi(-3)), DomainError,
+     "weight must be at least 1"),
+], ids=["eisenstein-k-0", "two-char-k-0"])
+def test_input_guards(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

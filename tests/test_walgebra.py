@@ -579,3 +579,22 @@ def test_inexact_zero_coordinates_keep_their_precision():
     # exact zeros still go
     assert alg.from_scalar(PadicNumber.zero(5)).coords == {}
     assert alg.from_scalar(Fraction(0)).coords == {}
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: build_W(1, 1, r_an=1, L=Laurent.var_L()).from_lambda(
+        epsilon_char(2, 5), None), DomainError,
+     "Lambda images need concrete scalars"),
+    (lambda: build_W(1, 1, r_an=1, L=L0).pi()
+     * build_W(1, 1, r_an=1, L=L0).pi(), DomainError,
+     "elements of different algebras"),
+    (lambda: hecke_t_image(epsilon_char(2, 5), 1, build_W(1, 1, r_an=1, L=L0)),
+     DomainError, "the y-carrying image lives in cases 2 and 3"),
+    (lambda: case1_det_identity([[1]], [[1]],
+                                build_W(2, 1, r_an=1, L=L0, W=W0)),
+     DomainError, "case 1 identity"),
+], ids=["formal-from-lambda", "two-algebras", "hecke-t-case-1",
+        "case-1-on-case-2"])
+def test_input_guards(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

@@ -172,17 +172,22 @@ MUTANTS = [
      "                target = config.prec - 40\n",
      "loosen the gross-stark target"),
     ("cli.py",
-     "                        if v < N - 3:\n",
-     "                        if v < N - 30:\n",
+     '                        yield f"k={k} ", got - want, N - 3\n',
+     '                        yield f"k={k} ", got - want, N - 30\n',
      "loosen the lambda-nu target"),
+    ("cli.py",
+     "        if v < target:\n",
+     "        if v <= target:\n",
+     "fail a diff that meets its target exactly"),
     ("cli.py",
      '                    return "fail", None, "(pi-y)^r != pi^r - y^r"\n',
      '                    return "pass", None, "(pi-y)^r != pi^r - y^r"\n',
      "pass a failed (pi-y)^r identity"),
     # independence of the two sides of a check
     ("cli.py",
-     "                    diff = series - exact\n",
-     "                    diff = series - kubota_leopoldt(instance, n)\n",
+     '                        [("discrepancy ", series - exact, config.prec - 2)])\n',
+     '                        [("discrepancy ", series - kubota_leopoldt(instance, n), '
+     'config.prec - 2)])\n',
      "interp reads the series engine on both sides"),
     ("cli.py",
      "                reg = gross_regulator_rank1(cert)\n",
@@ -292,6 +297,14 @@ MUTANTS = [
      "                w_inv = one / W\n",
      "                w_inv = W\n",
      "let case 2 use W where it needs 1/W"),
+    ("padic.py",
+     "    return n >= 2 and factorize(n) == [(n, 1)]\n",
+     "    return factorize(n) == [(n, 1)]\n",
+     "let is_prime factorize n < 2"),
+    ("characters.py",
+     "    _cache = cache or _default_cache\n",
+     "    _cache = cache\n",
+     "let set_shared_cache(None) leave no Bernoulli table"),
     ("padic.py",
      "    def __delattr__(self, name):\n",
      "    def _delattr(self, name):\n",
