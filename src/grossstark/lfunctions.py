@@ -34,9 +34,9 @@ taken at the highest order among the evaluation points:
   polynomial (kept mod p^M) by u_j.  The factor p covers the p in the
   denominator of B_j (von Staudt-Clausen; v_p(F^j/j!) >= 0 covers the
   rest), and v_p(order!) more digits are kept for the exp-jets below,
-  K = 1 + v_p(order!) in all.  A u_j that is not p-integral raises
-  ConsistencyError while a point builds its rows: every product of a
-  p-integral u_j with an integer is p-integral.
+  K = 1 + v_p(order!) in all.  Each u_j is checked once per call, where
+  the row is built: one that is not p-integral raises ConsistencyError,
+  and every product of a p-integral u_j with an integer is p-integral.
 - For each a the inner sum over j is a Horner loop in a^-2 over the even
   j, plus the single odd term d_1 a^-1 (B_j = 0 for odd j > 1).
 - One exponent rule serves integer and p-adic s alike: <a> generates a
@@ -153,9 +153,9 @@ def _smallest_prime_factors(n: int) -> list:
 
 
 def _scaled_bernoulli(F: int, bern: list, p: int, pm: int) -> list:
-    """u_j = p^_HEADROOM B_j F^j / j! mod pm, or None where u_j is not p-integral.
+    """u_j = p^_HEADROOM B_j F^j / j! mod pm, the row every point shares.
 
-    The row is shared by every evaluation point of a series call.
+    A u_j that is not p-integral raises ConsistencyError, once per call.
     """
     out = []
     num, den = p ** _HEADROOM, 1  # p^_HEADROOM F^j and j!
@@ -164,18 +164,19 @@ def _scaled_bernoulli(F: int, bern: list, p: int, pm: int) -> list:
             num *= F
             den *= j
         u = Fraction(num * b.numerator, den * b.denominator)
-        out.append(None if u.denominator % p == 0
-                   else u.numerator * pow(u.denominator, -1, pm) % pm)
+        if u.denominator % p == 0:
+            raise ConsistencyError(f"scaled Bernoulli coefficient u_{j} is not "
+                                   f"{p}-integral after scaling by {p}^{_HEADROOM}")
+        out.append(u.numerator * pow(u.denominator, -1, pm) % pm)
     return out
 
 
-def _binomial_jets(sigma: int, scaled: list, order: int, p: int,
-                   pm: int) -> tuple:
+def _binomial_jets(sigma: int, scaled: list, order: int, pm: int) -> tuple:
     """Rows j = 0, 2, 4, ... and row 1 of p^_HEADROOM d_j[i] mod pm, i = 0..order.
 
-    scaled is the row of u_j from _scaled_bernoulli; the integer binomial
-    polynomial is kept mod pm, so each entry is one product with u_j.  The
-    odd rows j > 1 (u_j = 0) are not built, but every u_j is checked.
+    scaled is the checked row of u_j from _scaled_bernoulli; the integer
+    binomial polynomial is kept mod pm, so each entry is one product with
+    u_j.  The odd rows j > 1 (u_j = 0) are not built.
     """
     rows = []
     poly = [1] + [0] * order  # prod_{k<j} (1 - sigma - k - delta), truncated
@@ -184,10 +185,6 @@ def _binomial_jets(sigma: int, scaled: list, order: int, p: int,
             c = 1 - sigma - (j - 1)
             poly = [poly[0] * c % pm] + [(poly[i] * c - poly[i - 1]) % pm
                                          for i in range(1, order + 1)]
-        if u is None:
-            raise ConsistencyError(
-                f"binomial jet coefficient j={j} (order {order}) is not "
-                f"{p}-integral after scaling by {p}^{_HEADROOM}")
         if j % 2 == 0 or j == 1:
             rows.append([x * u % pm for x in poly])
     return rows[:1] + rows[2:], rows[1]
@@ -241,7 +238,7 @@ def _series_jets(chi: DirichletCharacter, p: int, W: int, points) -> list:
     q = p ** (M - 1)  # the order of <a> divides q
     passes = []
     for (sigma, _), (_, order) in zip(sigmas, points):
-        even, d1 = _binomial_jets(sigma, scaled, order, p, pm)
+        even, d1 = _binomial_jets(sigma, scaled, order, pm)
         fact = math.factorial(order)
         exponent = (1 - sigma) % q
         passes.append((range(order + 1),

@@ -180,8 +180,7 @@ class PadicNumber(Immutable):
         return PadicNumber(self.p, self.v, -self.unit, self.nabs)
 
     def __sub__(self, other):
-        neg = -other if isinstance(other, PadicNumber) else -Fraction(other)
-        return self.__add__(neg)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)

@@ -158,22 +158,17 @@ def eisenstein_two_char(k: int, eta: DirichletCharacter, psi: DirichletCharacter
 
 
 def hecke_T(ell: int, f: QExpansion) -> QExpansion:
-    """T_ell: c(n) -> c(n ell) + chi(ell) ell^{k-1} c(n/ell); horizon divides by ell."""
+    """T_ell = U_ell + chi(ell) ell^{k-1} V_ell, V_ell: c(n) -> c(n/ell) where ell | n."""
     if math.gcd(ell, f.character.modulus) != 1:
         raise DomainError(f"T_{ell} needs ell coprime to the level; use U_{ell}")
-    if f.reliable_to < ell:
-        raise PrecisionError(f"horizon {f.reliable_to} < {ell}")
+    u = hecke_U(ell, f)
     chi = f.character
     # scale is never 0 (ell is coprime to the level), and an int for a real chi
     scale = ((chi.residue(ell) if chi.is_rational else chi(ell, f.prec))
              * ell ** (f.weight - 1))
-    out = []
-    for n in range(f.reliable_to // ell + 1):
-        c = f.coeffs[n * ell]
-        if n % ell == 0:
-            c = c + scale * f.coeffs[n // ell]
-        out.append(c)
-    return QExpansion(f.weight, f.character, out, f.prec)
+    return QExpansion(f.weight, chi, [
+        c + scale * f.coeffs[n // ell] if n % ell == 0 else c
+        for n, c in enumerate(u.coeffs)], f.prec)
 
 
 def hecke_U(ell: int, f: QExpansion) -> QExpansion:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -604,3 +605,14 @@ def test_invalid_inputs():
 def test_input_guards(call, exc, message):
     with pytest.raises(exc, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("op", [operator.mul, operator.eq], ids=["mul", "eq"])
+def test_foreign_operands(op):
+    # arithmetic with an operand of a foreign type raises TypeError; == is False
+    x = DirichletCharacter.quadratic(-4)
+    if op is operator.eq:
+        assert op(x, object()) is False
+    else:
+        with pytest.raises(TypeError):
+            op(x, object())

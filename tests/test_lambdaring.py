@@ -1,5 +1,6 @@
 """Truncated Iwasawa algebra: specializations, the cyclotomic character."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -241,3 +242,10 @@ def test_pi_normalize_declares_only_known_digits(p):
 def test_input_guards(call, exc, message):
     with pytest.raises(exc, match=message):
         call()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+def test_foreign_operands(op):
+    # arithmetic with an operand of a foreign type raises TypeError
+    with pytest.raises(TypeError):
+        op(LambdaElement.constant(5, 2, N=4), object())

@@ -353,7 +353,7 @@ def test_series_jets_rejects_non_integral_coefficients(monkeypatch):
     real = lfunctions.bernoulli_number
     monkeypatch.setattr(lfunctions, "bernoulli_number",
                         lambda j: Fraction(1, 5 ** 9) if j == 4 else real(j))
-    with pytest.raises(ConsistencyError, match=r"j=4 \(order 1\)"):
+    with pytest.raises(ConsistencyError, match="u_4 is not 5-integral"):
         lfunctions._series_jets(chi(-4), 5, 12, [(0, 1)])
 
 
@@ -484,7 +484,7 @@ def test_binomial_jets_match_the_fraction_oracle(p, d):
         scaled = lfunctions._scaled_bernoulli(F, bern, p, pm)
         for s, _ in _oracle_points(p, W):
             sigma = s.residue(W) if isinstance(s, PadicNumber) else s
-            even, odd = lfunctions._binomial_jets(sigma, scaled, order, p, pm)
+            even, odd = lfunctions._binomial_jets(sigma, scaled, order, pm)
             rows = _oracle_binomial_jets(sigma, F, bern, order, p, pm)
             assert even == rows[0::2], (order, s)
             assert odd == rows[1], (order, s)

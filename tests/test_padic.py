@@ -1,6 +1,7 @@
 """Exact p-adic arithmetic: precision tracking, logs, roots, norm forms."""
 
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -147,6 +148,35 @@ def test_value_types_are_immutable(make, hashable):
     else:
         with pytest.raises(TypeError):
             hash(x)
+
+
+def _w_element():
+    alg = build_W(3, 2, s=3, t=2, L=Fraction(5, 3), W=Fraction(2))
+    return alg.one() + alg.pi() * 2 + alg.pi(2) - alg.y() + alg.eps(1)
+
+
+@pytest.mark.parametrize("make, shown", [
+    (lambda: PadicNumber.zero(5), "0 (exact)"),
+    (lambda: PadicNumber(5, 3, 0, 3), "O(5^3)"),
+    (lambda: PadicNumber.from_exact(5, Fraction(3, 5), 4), "3*5^-1 + O(5^4)"),
+    (lambda: LambdaElement(5, [], N=4), "0"),
+    (lambda: LambdaElement(5, [2, 0, 5], N=4),
+     "(2*5^0 + O(5^4))*T^0 + (1*5^1 + O(5^4))*T^2"),
+    (lambda: QExpansion(1, DirichletCharacter.quadratic(-4), [0, 1, 1, 0, 1, 2]),
+     "QExpansion(weight=1, character=(chi_-4), [0, 1, 1, 0, 1, ...], "
+     "reliable_to=5)"),
+    (lambda: find_p_unit(-4, 5),
+     "PUnitCertificate(d=-4, p=5, h=1, pi=(2+2*sqrt(-4))/2, o=-1)"),
+    (Laurent, "0"),
+    (lambda: Laurent({(0, 0): 2, (1, 0): Fraction(1, 2), (0, 1): -1,
+                      (2, -1): 3, (-1, 3): 1}),
+     "1*L^-1W^3 + 2 + -1*W + 1/2*L + 3*L^2W^-1"),
+    (lambda: build_W(1, 1, r_an=1, L=Fraction(5, 3)).zero(), "0"),
+    (_w_element, "(1)*1 + (2)*pi + (1)*pi^2 + (-1)*y + (1)*eps1"),
+], ids=["exact-zero", "O(p^n)", "unit", "Lambda-0", "Lambda", "QExpansion",
+        "PUnitCertificate", "Laurent-0", "Laurent", "W-0", "W"])
+def test_repr(make, shown):
+    assert repr(make()) == shown
 
 
 def test_inverse():
@@ -583,3 +613,27 @@ def test_truncate_and_same_to():
 def test_input_guards(call, exc, message):
     with pytest.raises(exc, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("op, other", [
+    (operator.add, object()), (operator.sub, 1.5), (operator.mul, object()),
+    (operator.truediv, object()), (operator.pow, Fraction(1, 2)),
+    (operator.eq, object()),
+], ids=["add", "sub-float", "mul", "truediv", "pow-Fraction", "eq"])
+def test_foreign_operands(op, other):
+    # arithmetic with an operand of a foreign type raises TypeError; == is False
+    x = PadicNumber(5, 0, 3, 10)
+    if op is operator.eq:
+        assert op(x, other) is False
+    else:
+        with pytest.raises(TypeError):
+            op(x, other)
+
+
+def test_subtraction_defers_to_the_other_operand():
+    # x - y is x + (-y), so an operand that x + y hands to y's reflected
+    # method is handed on by x - y too
+    x, w = PadicNumber(5, 0, 3, 10), _w_element()
+    assert x - w == -(w - x)
+    h = LambdaElement(5, [2, 0, 5], N=4)
+    assert (x - h).coeffs == (-(h - x)).coeffs

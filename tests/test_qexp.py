@@ -1,5 +1,6 @@
 """Eisenstein q-expansions, Hecke action, the U_p shift law."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -442,3 +443,10 @@ def test_up_relation_reports_each_branch(monkeypatch):
 def test_input_guards(call, exc, message):
     with pytest.raises(exc, match=message):
         call()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+def test_foreign_operands(op):
+    # arithmetic with an operand of a foreign type raises TypeError
+    with pytest.raises(TypeError):
+        op(QExpansion(1, chi(-4), [0, 1]), object())

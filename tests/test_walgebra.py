@@ -1,6 +1,7 @@
 """Nilpotent Artin algebras: structure, rewriting, determinant identities."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -598,3 +599,18 @@ def test_inexact_zero_coordinates_keep_their_precision():
 def test_input_guards(call, exc, message):
     with pytest.raises(exc, match=message):
         call()
+
+
+@pytest.mark.parametrize("make, op", [
+    (Laurent.var_L, operator.add), (Laurent.var_L, operator.mul),
+    (Laurent.var_L, operator.eq),
+    (lambda: build_W(1, 1, r_an=1, L=L0).pi(), operator.mul),
+], ids=["Laurent-add", "Laurent-mul", "Laurent-eq", "WElement-mul"])
+def test_foreign_operands(make, op):
+    # arithmetic with an operand of a foreign type raises TypeError; == is False
+    x = make()
+    if op is operator.eq:
+        assert op(x, object()) is False
+    else:
+        with pytest.raises(TypeError):
+            op(x, object())

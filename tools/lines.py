@@ -28,51 +28,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "grossstark"
 
-NOT_IMPLEMENTED = "NotImplemented: the operand type is not supported"
-REPR = "__repr__: only read when debugging"
 GUARD = "input guard: rejects a value outside the function's domain"
 CHILD = "child interpreter: runs only as python3 -m grossstark"
 
 # (file under src/grossstark, function, stripped line text or None for every
 # line of the function and the functions inside it, reason)
 ALLOWED = [
-    ("characters.py", "DirichletCharacter.__eq__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("characters.py", "DirichletCharacter.__mul__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("lambdaring.py", "LambdaElement.__add__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("lambdaring.py", "LambdaElement.__mul__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("padic.py", "PadicNumber.__eq__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("padic.py", "PadicNumber.__add__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("padic.py", "PadicNumber.__mul__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("padic.py", "PadicNumber.__truediv__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("padic.py", "PadicNumber.__pow__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("qexp.py", "QExpansion.__add__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("qexp.py", "QExpansion.__mul__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("walgebra.py", "Laurent._terms", "return None", NOT_IMPLEMENTED),
-    ("walgebra.py", "Laurent._combine",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("walgebra.py", "Laurent.__mul__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("walgebra.py", "Laurent.__eq__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("walgebra.py", "WElement.__mul__",
-     "return NotImplemented", NOT_IMPLEMENTED),
-    ("lambdaring.py", "LambdaElement.__repr__", None, REPR),
-    ("padic.py", "PadicNumber.__repr__", None, REPR),
-    ("qexp.py", "QExpansion.__repr__", None, REPR),
-    ("regulator.py", "PUnitCertificate.__repr__", None, REPR),
-    ("walgebra.py", "Laurent.__repr__", None, REPR),
-    ("walgebra.py", "WElement.__repr__", None, REPR),
     ("qexp.py", "hida_surrogate", "raise DegenerateInstanceError(", GUARD),
     ("qexp.py", "hida_surrogate",
      '"weight-%d Eisenstein constant term vanishes; surrogate undefined" % k)', GUARD),

@@ -377,6 +377,20 @@ MUTANTS = [
      "        key = (a, b, J)\n",
      "        key = (a, b)\n",
      "drop the eps indices from the generator memo key"),
+    # each operation's one implementation: the u_j check, T_l's V_l term,
+    # subtraction through addition
+    ("lfunctions.py",
+     "        if u.denominator % p == 0:\n",
+     "        if False:\n",
+     "let a u_j that is not p-integral into the series rows"),
+    ("qexp.py",
+     "        c + scale * f.coeffs[n // ell] if n % ell == 0 else c\n",
+     "        c + scale * f.coeffs[n // ell] if False else c\n",
+     "drop T_l's V_l term"),
+    ("padic.py",
+     "        return self.__add__(-other)\n",
+     "        return self.__add__(other)\n",
+     "let p-adic subtraction add"),
 ]
 
 
