@@ -401,8 +401,6 @@ def gen_bernoulli(n: int, chi: DirichletCharacter, prec: int | None = None):
     bernoulli_number(n)  # fills a cold table in one pass
     coeffs = [math.comb(n, j) * bernoulli_number(j) * Fraction(f) ** (j - 1)
               for j in range(n + 1)]
-    if not chi.is_rational and prec is None:
-        raise PrecisionError("character is p-adic valued; a precision is required")
     sums = [0] * (n + 1)
     for a in range(1, f + 1):
         c = chi.residue(a, prec)

@@ -73,7 +73,7 @@ class LambdaElement(Immutable):
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LambdaElement.constant(
-                self.p, other, self.M, _scalar_precision(self, other))
+                self.p, other, self.M, _scalar_precision(self))
         if isinstance(other, PadicNumber):
             other = LambdaElement.constant(self.p, other, self.M)
         if not isinstance(other, LambdaElement):
@@ -114,7 +114,7 @@ class LambdaElement(Immutable):
     __rmul__ = __mul__
 
 
-def _scalar_precision(h, scalar):
+def _scalar_precision(h):
     live = [c.precision for c in h.coeffs if not c.exact_zero]
     return int(min(live)) if live else 1
 

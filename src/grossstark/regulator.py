@@ -29,8 +29,8 @@ class PUnitCertificate(Immutable):
     """A p-unit u = pi/pibar with the data needed to re-derive and audit it.
 
     pi = (x + y*sqrt(d))/2 has norm p^h, h minimal; w is the chosen square
-    root of d in Z_p fixing the embedding; o and ell are the two
-    measurements of u under that embedding.
+    root of d in Z_p fixing the embedding.  The constructor itself computes
+    o = o(u) and ell = l(u), the two measurements of u under that embedding.
     """
 
     __slots__ = ("d", "p", "h", "x", "y", "w", "o", "ell")
@@ -52,9 +52,14 @@ class PUnitCertificate(Immutable):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w", w)
-        o, ell = measure_parts(d, p, h, x, y, w)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "ell", ell)
+        half = Fraction(1, 2)
+        pi_img = (x + w * y) * half
+        pibar_img = (x - w * y) * half
+        v1, v2 = pi_img.valuation, pibar_img.valuation
+        if {v1, v2} != {0, h}:
+            raise PrecisionError("embedding did not separate the primes above p")
+        object.__setattr__(self, "o", v1 - v2)
+        object.__setattr__(self, "ell", plog(pi_img) - plog(pibar_img))
 
     def dump(self) -> dict:
         ell = self.ell
@@ -78,19 +83,6 @@ class PUnitCertificate(Immutable):
     def __repr__(self):
         return (f"PUnitCertificate(d={self.d}, p={self.p}, h={self.h}, "
                 f"pi=({self.x}{self.y:+d}*sqrt({self.d}))/2, o={self.o})")
-
-
-def measure_parts(d, p, h, x, y, w) -> tuple[int, PadicNumber]:
-    """Measurements (o(u), l(u)) of u = pi/pibar from raw certificate data."""
-    half = Fraction(1, 2)
-    pi_img = (x + w * y) * half
-    pibar_img = (x - w * y) * half
-    v1, v2 = pi_img.valuation, pibar_img.valuation
-    if {v1, v2} != {0, h}:
-        raise PrecisionError("embedding did not separate the primes above p")
-    o = v1 - v2
-    ell = plog(pi_img) - plog(pibar_img)
-    return o, ell
 
 
 def class_number(d: int) -> int:

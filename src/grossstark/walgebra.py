@@ -37,6 +37,17 @@ from .lambdaring import LambdaElement
 from .padic import Immutable, PadicNumber, is_zero
 
 
+def _signed_sum(mine, theirs, sign):
+    """The sparse sum mine + theirs for sign 1, mine - theirs for sign -1."""
+    out = dict(mine)
+    for k, v in theirs.items():
+        if k in out:
+            out[k] = out[k] + v if sign > 0 else out[k] - v
+        else:
+            out[k] = v if sign > 0 else -v
+    return out
+
+
 class Laurent(Immutable):
     """Laurent polynomial over Q in the formal symbols L and W."""
 
@@ -75,13 +86,7 @@ class Laurent(Immutable):
         terms = self._terms(other)
         if terms is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in terms.items():
-            if k in out:
-                out[k] = out[k] + v if sign > 0 else out[k] - v
-            else:
-                out[k] = v if sign > 0 else -v
-        return Laurent(out)
+        return Laurent(_signed_sum(self.terms, terms, sign))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -164,7 +169,6 @@ class WAlgebra:
     def __init__(self, case, r, r_an=None, s=None, t=None, L=0, W=None):
         self.case = case
         self.r = r
-        self.L = L
         self.W = W
         self.formal = isinstance(L, Laurent)
         # the scalar of every table entry no rule rewrites, formal mode
@@ -176,7 +180,7 @@ class WAlgebra:
         if case in (1, 2):
             if r_an is None or r < 1 or r_an < r:
                 raise ConstructionError("need r_an >= r >= 1")
-            self.r_an, self.s, self.t = r_an, None, None
+            self.s = self.t = None
             self.max_degree = r_an
             sign = (-1) ** (r_an + 1)
             if case == 1:
@@ -194,7 +198,7 @@ class WAlgebra:
             if s is None or t is None or r < 1 or not s > t >= 1:
                 raise ConstructionError(
                     "case 3 needs s > t >= 1 (t = 0 degenerates the W-relation)")
-            self.r_an, self.s, self.t = None, s, t
+            self.s, self.t = s, t
             self.max_degree = s
             self._check_W()
             tops = (s, t)
@@ -319,19 +323,14 @@ class WAlgebra:
     def one(self):
         return self.element({("pi", 0): self._unit})
 
-    def _from_entry(self, entry):
-        """The element sc * mono of a reduced (sc, mono), None standing for zero."""
-        if entry is None:
-            return self.zero()
-        sc, mono = entry
-        return self.element({mono: sc})
-
     def _generator(self, a, b, J):
         """The reduced element pi^a y^b eps_J, built once per algebra."""
         key = (a, b, J)
         x = self._generators.get(key)
         if x is None:
-            x = self._generators[key] = self._from_entry(self._reduce(a, b, J))
+            entry = self._reduce(a, b, J)  # (scalar, basis monomial) or None
+            x = self._generators[key] = (
+                self.zero() if entry is None else self.element({entry[1]: entry[0]}))
         return x
 
     def pi(self, power=1):
@@ -404,13 +403,7 @@ class WElement(Immutable):
             return NotImplemented
         if other.algebra is not self.algebra:
             raise DomainError("elements of different algebras")
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            if i in out:
-                out[i] = out[i] + c if sign > 0 else out[i] - c
-            else:
-                out[i] = c if sign > 0 else -c
-        return WElement(self.algebra, out)
+        return WElement(self.algebra, _signed_sum(self.coords, other.coords, sign))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -521,24 +514,19 @@ def epsilon_y(h: LambdaElement, alg: WAlgebra) -> WElement:
     shifts the series one step, and multiplying by y turns pi-powers into
     y-powers through pi*y = y^2, which is exactly the T -> y substitution.
     """
-    if alg.case == 1:
-        raise DomainError("epsilon_y lives in cases 2 and 3")
     return alg.from_lambda(h, alg.y())
 
 
 def epsilon_pi_minus_y(h: LambdaElement, alg: WAlgebra) -> WElement:
-    """Image under T -> pi - y (cases 2 and 3)."""
-    if alg.case == 1:
-        raise DomainError("epsilon_pi_minus_y lives in cases 2 and 3")
+    """Image under T -> pi - y (cases 2 and 3; alg.y() raises in case 1)."""
     return alg.from_lambda(h, alg.pi() - alg.y())
 
 
 def hecke_t_image(h: LambdaElement, chi_l, alg: WAlgebra) -> WElement:
     """Image of T_l: 1 + chi(l) eps(l) + (chi(l) - 1) [(1 - eps(l))/pi] y."""
-    if alg.case == 1:
-        raise DomainError("the y-carrying image lives in cases 2 and 3")
-    full = alg.from_lambda(h, alg.pi())
+    # the y-part first: in case 1 alg.y() raises before any work
     ypart = alg.from_lambda(h, alg.y()) - alg.one()  # (eps - 1)/pi * y
+    full = alg.from_lambda(h, alg.pi())
     return alg.one() + full * chi_l + ypart * (1 - chi_l)
 
 

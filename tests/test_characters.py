@@ -599,7 +599,7 @@ def test_invalid_inputs():
     (lambda: gen_bernoulli(0, DirichletCharacter.quadratic(-4)), DomainError,
      "gen_bernoulli needs n >= 1"),
     (lambda: gen_bernoulli(2, DirichletCharacter(1, 5, 1)), PrecisionError,
-     "character is p-adic valued; a precision is required"),
+     "character value is p-adic; a precision is required"),
 ], ids=["zero-disc", "two-primes", "non-prime-zero", "negative-n",
         "gen-n-0", "gen-no-prec"])
 def test_input_guards(call, exc, message):

@@ -3,17 +3,19 @@
     python3 tools/mutants.py
 
 The tree (src/, tests/, pyproject.toml, README.md) is copied to a temporary
-directory; the working tree is never written.  Tier-1 must pass on the
-unmutated copy first, in pytest's default order.  Then, for each mutant,
-the original line must occur exactly once in its file; the mutant replaces
-it, tier-1 runs on the copy with `-x`, and the file is restored.  A mutant of <stem>.py runs
-tests/test_<stem>.py first, where there is one, and then every other test
-file, so most mutants stop at their own module's tests.  A mutant survives
-when every test file still passes under it.
+directory; the working tree is never written.  Before any test runs, every
+mutant's original line must occur exactly once in its file and differ from
+the mutant line, which keeps its indentation (a mutant that only breaks the
+syntax would be killed by the import, not by a test).  Tier-1 must then pass on the unmutated copy, in pytest's
+default order.  Then, for each mutant, the mutant line replaces the original,
+tier-1 runs on the copy with `-x`, and the file is restored.  A mutant of
+<stem>.py runs tests/test_<stem>.py first, where there is one, and then every
+other test file, so most mutants stop at their own module's tests.  A mutant
+survives when every test file still passes under it.
 
-Exit codes: 0 when every mutant is killed, 1 when any survives, 2 when the
-unmutated copy fails tier-1 or a mutant's original line no longer occurs
-exactly once.
+Exit codes: 0 when every mutant is killed, 1 when any survives, 2 when a
+mutant is stale (its original line does not occur exactly once, equals the
+mutant or is indented differently) or the unmutated copy fails tier-1.
 """
 
 from __future__ import annotations
@@ -266,8 +268,8 @@ MUTANTS = [
      "    if False:\n",
      "drop build_Fk's check that c(0) cancels"),
     ("regulator.py",
-     "    if {v1, v2} != {0, h}:\n",
-     "    if False:\n",
+     "        if {v1, v2} != {0, h}:\n",
+     "        if False:\n",
      "accept an embedding that does not separate the primes above p"),
     ("padic.py",
      "    if rest % D:\n",
@@ -352,9 +354,13 @@ MUTANTS = [
      "                out[k] = prod\n",
      "let a product overwrite the coordinate it adds to"),
     ("walgebra.py",
-     "                out[i] = out[i] + c if sign > 0 else out[i] - c\n",
-     "                out[i] = out[i] + c\n",
-     "let WElement subtraction add where both have a coordinate"),
+     "            out[k] = out[k] + v if sign > 0 else out[k] - v\n",
+     "            out[k] = out[k] + v\n",
+     "let the sparse signed sum add where both sides have a key"),
+    ("walgebra.py",
+     "            out[k] = v if sign > 0 else -v\n",
+     "            out[k] = v\n",
+     "let the sparse signed sum keep the sign of a key only the subtrahend has"),
     ("walgebra.py",
      "                total = total - term if k % 2 else total + term\n",
      "                total = total + term\n",
@@ -426,7 +432,34 @@ def tier1(tree: Path, files=()) -> bool:
     return proc.returncode == 0
 
 
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip(" "))
+
+
+def stale_mutants(src: Path) -> list:
+    """One message per mutant whose original line does not occur exactly
+    once in its file under src, is the mutant line itself, or is indented
+    differently from it."""
+    stale = []
+    for filename, original, mutant, what in MUTANTS:
+        count = (src / filename).read_text().count(original)
+        if count != 1:
+            stale.append(f"{filename}: the line {original.strip()!r} occurs "
+                         f"{count} times, not once")
+        elif original == mutant:
+            stale.append(f"{filename}: the mutant {what!r} changes nothing")
+        elif _indent(original) != _indent(mutant):
+            stale.append(f"{filename}: the mutant {what!r} changes the "
+                         f"indentation")
+    return stale
+
+
 def main() -> int:
+    stale = stale_mutants(ROOT / "src" / "grossstark")
+    for message in stale:
+        print(message, file=sys.stderr)
+    if stale:
+        return 2
     with tempfile.TemporaryDirectory(prefix="grossstark-mutants-") as tmp:
         tree = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.pyc")
@@ -441,11 +474,6 @@ def main() -> int:
         for filename, original, mutant, what in MUTANTS:
             path = tree / "src" / "grossstark" / filename
             text = path.read_text()
-            if text.count(original) != 1:
-                print(f"{filename}: the line {original.strip()!r} occurs "
-                      f"{text.count(original)} times, not once",
-                      file=sys.stderr)
-                return 2
             path.write_text(text.replace(original, mutant))
             try:
                 survived = tier1(tree, own_tests_first(tree, filename))
