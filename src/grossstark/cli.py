@@ -38,7 +38,7 @@ from .padic import Immutable, PadicNumber, angle_bracket, is_prime
 from .qexp import eisenstein, hecke_T, verify_up_relation
 from .regulator import class_number, find_p_unit, gross_regulator_rank1
 from .walgebra import (Laurent, build_W, case1_det_identity,
-                       case2_det_identity, case3_det_identity)
+                       case2_det_identity, case3_det_identity, det)
 
 # the largest --p accepted: trial division proves any p up to here prime in
 # at most 160 steps, and gross-stark near it already runs for minutes
@@ -314,8 +314,10 @@ def cmd_w_algebra(config: RunConfig):
                 for _ in range(config.trials):
                     o = _random_fraction_matrix(rng, r)
                     lm = _random_fraction_matrix(rng, r)
+                    # the right sides' pair, shared by the three identities
+                    dets = (det(lm), det(o))
                     for fn, alg in checks:
-                        if fn(o, lm, alg).nonzero():
+                        if fn(o, lm, alg, dets=dets).nonzero():
                             return "fail", None, f"{fn.__name__} residue nonzero"
                 # ring identities
                 diff = a2.pi() - a2.y()

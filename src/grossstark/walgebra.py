@@ -155,6 +155,11 @@ def _degree(mono) -> int:
     return len(v) if kind == "eps" else v
 
 
+def _scale(coords, sc, unit):
+    """The coordinates coords times the scalar sc; a unit coordinate becomes sc."""
+    return {i: sc if c is unit else c * sc for i, c in coords.items()}
+
+
 def _scaled(sc, entry, unit):
     """sc times a table entry, None standing for zero; a unit sc is skipped."""
     if entry is None:
@@ -169,6 +174,7 @@ class WAlgebra:
     def __init__(self, case, r, r_an=None, s=None, t=None, L=0, W=None):
         self.case = case
         self.r = r
+        self.s, self.t = s, t  # None in cases 1 and 2, as checked below
         self.W = W
         self.formal = isinstance(L, Laurent)
         # the scalar of every table entry no rule rewrites, formal mode
@@ -178,9 +184,10 @@ class WAlgebra:
         # one block per case: its checks, its top pi- and y-powers and its
         # rewrite rules monomial -> (scalar, target), as in the module docstring
         if case in (1, 2):
+            if s is not None or t is not None:
+                raise ConstructionError("cases 1 and 2 take no s or t")
             if r_an is None or r < 1 or r_an < r:
                 raise ConstructionError("need r_an >= r >= 1")
-            self.s = self.t = None
             self.max_degree = r_an
             sign = (-1) ** (r_an + 1)
             if case == 1:
@@ -195,10 +202,11 @@ class WAlgebra:
                 rules = {full: (L * w_inv * sign, ("y", r_an)),
                          ("pi", r_an): ((W + 1) * w_inv, ("y", r_an))}
         elif case == 3:
+            if r_an is not None:
+                raise ConstructionError("case 3 takes no r_an")
             if s is None or t is None or r < 1 or not s > t >= 1:
                 raise ConstructionError(
                     "case 3 needs s > t >= 1 (t = 0 degenerates the W-relation)")
-            self.s, self.t = s, t
             self.max_degree = s
             self._check_W()
             tops = (s, t)
@@ -421,10 +429,8 @@ class WElement(Immutable):
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            unit = self.algebra._unit
-            return WElement(self.algebra, {
-                i: other if c is unit else c * other
-                for i, c in self.coords.items()})
+            return WElement(self.algebra,
+                            _scale(self.coords, other, self.algebra._unit))
         if not isinstance(other, WElement):
             return NotImplemented
         if other.algebra is not self.algebra:
@@ -538,58 +544,77 @@ def u_p_image(alg: WAlgebra, i: int) -> WElement:
 # -- determinant identities ----------------------------------------------
 
 
-def case1_det_identity(o_matrix, l_matrix, alg: WAlgebra, n_matrix=None) -> WElement:
+def case1_det_identity(o_matrix, l_matrix, alg: WAlgebra, n_matrix=None, *,
+                       dets=None) -> WElement:
     """Residue of det(l_ij pi + o_ij eps_i + n_ij) - det(l) pi^r - det(o) eps_1..eps_r.
 
     Reduced modulo m_W^{r+1}; the contract is a zero residue.  Row index i
-    carries eps_i; n_ij, when given, must lie in m_W^2.
+    carries eps_i; n_ij, when given, must lie in m_W^2.  dets, when given,
+    is the pair (det(l), det(o)) and is trusted as handed in.
     """
     if alg.case != 1:
         raise DomainError("case 1 identity")
-    return _det_identity(o_matrix, l_matrix, alg, alg.pi(), alg.pi(alg.r),
-                         n_matrix)
+    return alg.truncate_degree(_det_identity(
+        o_matrix, l_matrix, alg, alg.pi(), alg.pi(alg.r), n_matrix, dets), alg.r)
 
 
-def case2_det_identity(o_matrix, l_matrix, alg: WAlgebra, n_matrix=None) -> WElement:
+def case2_det_identity(o_matrix, l_matrix, alg: WAlgebra, n_matrix=None, *,
+                       dets=None) -> WElement:
     """Residue of the (pi - y) determinant identity in case 2.
 
     det(l_ij (pi-y) + o_ij eps_i + n_ij) - det(l)(pi^r - y^r) - det(o) eps_1..eps_r,
-    reduced mod m_W^{r+1}; uses (pi - y)^r = pi^r - y^r.
+    reduced mod m_W^{r+1}; uses (pi - y)^r = pi^r - y^r.  dets, when given,
+    is the pair (det(l), det(o)) and is trusted as handed in.
     """
     if alg.case != 2:
         raise DomainError("case 2 identity")
     lead = alg.pi(alg.r) - alg.y(alg.r)
-    return _det_identity(o_matrix, l_matrix, alg, alg.pi() - alg.y(), lead,
-                         n_matrix)
+    return alg.truncate_degree(_det_identity(
+        o_matrix, l_matrix, alg, alg.pi() - alg.y(), lead, n_matrix, dets), alg.r)
 
 
-def case3_det_identity(o_matrix, l_matrix, alg: WAlgebra, n_matrix=None) -> WElement:
+def case3_det_identity(o_matrix, l_matrix, alg: WAlgebra, n_matrix=None, *,
+                       dets=None) -> WElement:
     """Residue of the y-side determinant identity in case 3 (t = r exact).
 
     det(l_ij y + o_ij eps_i + n_ij) - det(l) y^r - det(o) eps_1..eps_r.
     For t = r the correction module m_W*(y, eps)^r vanishes and the residue
-    must be exactly zero; n_ij, when given, must lie in m_W*(y, eps).
+    must be exactly zero; n_ij, when given, must lie in m_W*(y, eps).  The
+    residue is not truncated: y^r and eps_1..eps_r both rewrite onto pi^s,
+    of degree s > r, which a reduction mod m_W^{r+1} would drop.
+    dets, when given, is the pair (det(l), det(o)) and is trusted as handed
+    in.
     """
     if alg.case != 3:
         raise DomainError("case 3 identity")
     return _det_identity(o_matrix, l_matrix, alg, alg.y(), alg.y(alg.r),
-                         n_matrix)
+                         n_matrix, dets)
 
 
-def _det_identity(o_matrix, l_matrix, alg, gen, lead_gen, n_matrix):
+def _sum_of_scaled(x, a, y, b):
+    """x * a + y * b for elements x, y and scalars a, b, built as one element."""
+    unit = x.algebra._unit
+    mine, theirs = _scale(x.coords, a, unit), _scale(y.coords, b, unit)
+    return WElement(x.algebra, _signed_sum(mine, theirs, 1))
+
+
+def _det_identity(o_matrix, l_matrix, alg, gen, lead_gen, n_matrix, dets):
+    """det(rows) - lead_gen det(l) - eps_1..eps_r det(o), not truncated.
+
+    The pair (det(l), det(o)) is computed here when dets is None; a caller
+    that checks several identities on one (o, l) computes it once.
+    """
     r = alg.r
     if len(o_matrix) != r or len(l_matrix) != r:
         raise DomainError(f"need {r} x {r} matrices")
     rows = []
     for i in range(r):
         eps_i = alg.eps(i + 1)
-        row = [gen * l_matrix[i][j] + eps_i * o_matrix[i][j] for j in range(r)]
+        row = [_sum_of_scaled(gen, l_ij, eps_i, o_ij)
+               for l_ij, o_ij in zip(l_matrix[i], o_matrix[i])]
         if n_matrix is not None:
             row = [e + n for e, n in zip(row, n_matrix[i])]
         rows.append(row)
     D = det(rows)
-    detl = det(l_matrix)
-    deto = det(o_matrix)
-    rhs = lead_gen * detl + alg.eps_product() * deto
-    return alg.truncate_degree(D - rhs, r)
-
+    detl, deto = (det(l_matrix), det(o_matrix)) if dets is None else dets
+    return D - _sum_of_scaled(lead_gen, detl, alg.eps_product(), deto)

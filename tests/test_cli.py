@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from grossstark import __version__, cli, lfunctions
+from grossstark import __version__, cli, lfunctions, walgebra
 from grossstark.characters import (BernoulliCache, DirichletCharacter,
                                    bernoulli_number)
 from grossstark.cli import (CONCLUSIVE_PRECISION, ReportBuilder, RunConfig,
@@ -478,6 +478,26 @@ def test_walg_structure_checks_the_dimensions(capsys, tmp_path, monkeypatch):
          f"dims {2 ** r + r}, {2 ** r + 2 * r - 1}") for r in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("trials", [1, 3])
+def test_walg_det_makes_five_determinants_per_trial(trials, capsys,
+                                                    monkeypatch):
+    # per trial and (r, mode): the shared (det(l), det(o)) pair once, then one
+    # W-matrix det in each of the three identities; 30 in all per trial
+    sizes = []
+    real = walgebra.det
+
+    def counting(matrix):
+        sizes.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(walgebra, "det", counting)
+    monkeypatch.setattr(cli, "det", counting)
+    code, _, _ = run(["w-algebra", "--trials", str(trials)], capsys)
+    assert code == 0
+    assert len(sizes) == 30 * trials
+    assert all(sizes.count(r) == 10 * trials for r in (1, 2, 3))
+
+
 def test_walg_det_formal_mode_is_symbolic(monkeypatch):
     # each formal algebra carries L and W as symbols in its rule scalars, so
     # its records check polynomial identities, not one numeric instance
@@ -504,7 +524,7 @@ def test_walg_det_formal_mode_is_symbolic(monkeypatch):
 
 
 def test_walg_det_checks_each_residue(capsys, tmp_path, monkeypatch):
-    def case2_det_identity(o, lm, alg):
+    def case2_det_identity(o, lm, alg, *, dets=None):
         return alg.one()
 
     monkeypatch.setattr(cli, "case2_det_identity", case2_det_identity)
@@ -527,7 +547,8 @@ def test_walg_det_checks_the_ring_identities(capsys, tmp_path, monkeypatch,
     # identities are reached
     for n in (1, 2, 3):
         name = f"case{n}_det_identity"
-        monkeypatch.setattr(cli, name, lambda o, lm, alg: alg.zero())
+        monkeypatch.setattr(cli, name,
+                            lambda o, lm, alg, *, dets=None: alg.zero())
     real_y = WAlgebra.y
 
     def moved_y(self, power=1):

@@ -10,10 +10,10 @@ import pytest
 from grossstark.errors import ConstructionError, DomainError
 from grossstark.lambdaring import epsilon_char, topological_generator
 from grossstark.padic import PadicNumber, plog
-from grossstark.walgebra import (Laurent, build_W, case1_det_identity,
-                                 case2_det_identity, case3_det_identity, det,
-                                 epsilon_pi_minus_y, epsilon_y, hecke_t_image,
-                                 u_p_image)
+from grossstark.walgebra import (Laurent, _sum_of_scaled, build_W,
+                                 case1_det_identity, case2_det_identity,
+                                 case3_det_identity, det, epsilon_pi_minus_y,
+                                 epsilon_y, hecke_t_image, u_p_image)
 
 L0 = Fraction(5, 3)
 W0 = Fraction(2, 7)
@@ -44,6 +44,18 @@ def test_construction_guards():
         build_W(4, 1, r_an=1, L=L0)
     with pytest.raises(ConstructionError):
         build_W(2, 1, r_an=1, L=Laurent.var_L(), W=W0)  # mixed scalar modes
+
+
+@pytest.mark.parametrize("case, r, extra, message", [
+    (1, 1, dict(r_an=1, s=7, t=3), "cases 1 and 2 take no s or t"),
+    (1, 2, dict(r_an=2, s=3), "cases 1 and 2 take no s or t"),
+    (2, 1, dict(r_an=1, t=1, W=W0), "cases 1 and 2 take no s or t"),
+    (3, 1, dict(r_an=9, s=2, t=1, W=W0), "case 3 takes no r_an"),
+], ids=["case-1-s-t", "case-1-s", "case-2-t", "case-3-r-an"])
+def test_construction_rejects_the_other_cases_parameters(case, r, extra,
+                                                         message):
+    with pytest.raises(ConstructionError, match=message):
+        build_W(case, r, L=L0, **extra)
 
 
 def test_dimensions():
@@ -429,6 +441,82 @@ def test_det_identities_formal():
             o, l, build_W(2, r, r_an=r, L=L, W=W)).nonzero()
         assert not case3_det_identity(
             o, l, build_W(3, r, s=r + 1, t=r, L=L, W=W)).nonzero()
+
+
+P5, N5 = 5, 10
+
+
+def padic(x):
+    return PadicNumber.from_exact(P5, x, N5)
+
+
+# scalar mode -> (L, W, the matrix entry for a Fraction x)
+SCALAR_MODES = {
+    "concrete": (L0, W0, lambda x: x),
+    "formal": (Laurent.var_L(), Laurent.var_W(), lambda x: x),
+    "padic": (padic(Fraction(5, 3)), padic(Fraction(2, 7)), padic),
+}
+
+
+def case_algebras(r, mode):
+    """The three case algebras cmd_w_algebra checks at r, and each one's
+    row generator: pi, pi - y and y."""
+    L, W, _ = SCALAR_MODES[mode]
+    a1 = build_W(1, r, r_an=r, L=L)
+    a2 = build_W(2, r, r_an=r, L=L, W=W)
+    a3 = build_W(3, r, s=r + 1, t=r, L=L, W=W)
+    return [(a1, a1.pi()), (a2, a2.pi() - a2.y()), (a3, a3.y())]
+
+
+@pytest.mark.parametrize("mode", sorted(SCALAR_MODES))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_entry_built_as_one_element(r, mode):
+    # gen * l + eps_i * o coordinate by coordinate, zero scalars included;
+    # at r = 1 eps_1 rewrites onto gen's own basis monomial in cases 1 and 2
+    rng = random.Random(31 + r)
+    entry = SCALAR_MODES[mode][2]
+    scalars = [Fraction(0), Fraction(1), Fraction(-3, 4),
+               *rand_matrix(rng, 2)[0]]
+    for alg, gen in case_algebras(r, mode):
+        if r == 1 and alg.case in (1, 2):
+            assert set(gen.coords) & set(alg.eps(1).coords)
+        for i in range(1, r + 1):
+            eps_i = alg.eps(i)
+            for a, b in itertools.product(scalars, repeat=2):
+                l, o = entry(a), entry(b)
+                got = _sum_of_scaled(gen, l, eps_i, o)
+                assert got.coords == (gen * l + eps_i * o).coords
+        # the right side: lead * det(l) + eps_1...eps_r * det(o)
+        lead = alg.pi(r) if alg.case == 1 else (
+            alg.pi(r) - alg.y(r) if alg.case == 2 else alg.y(r))
+        l, o = entry(Fraction(7, 2)), entry(Fraction(-5))
+        want = lead * l + alg.eps_product() * o
+        assert _sum_of_scaled(lead, l, alg.eps_product(), o).coords == \
+            want.coords
+
+
+IDENTITIES = {1: case1_det_identity, 2: case2_det_identity,
+              3: case3_det_identity}
+
+
+@pytest.mark.parametrize("mode", sorted(SCALAR_MODES))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_det_identity_with_a_handed_pair(r, mode):
+    # the identities trust the pair they are handed: the right one gives the
+    # residue computed without it, the swapped one a nonzero residue
+    rng = random.Random(41 + r)
+    entry = SCALAR_MODES[mode][2]
+    o, l = rand_matrix(rng, r), rand_matrix(rng, r)
+    assert det(o) != det(l)
+    o, l = [[entry(x) for x in row] for row in o], \
+        [[entry(x) for x in row] for row in l]
+    for alg, _ in case_algebras(r, mode):
+        fn = IDENTITIES[alg.case]
+        plain = fn(o, l, alg)
+        handed = fn(o, l, alg, dets=(det(l), det(o)))
+        assert handed.coords == plain.coords
+        assert not handed.nonzero()
+        assert fn(o, l, alg, dets=(det(o), det(l))).nonzero()
 
 
 def test_det_identity_case_mismatch():

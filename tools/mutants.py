@@ -368,8 +368,8 @@ MUTANTS = [
     # the W-algebra shortcuts: the unit is never multiplied, generators are
     # built once
     ("walgebra.py",
-     "                i: other if c is unit else c * other\n",
-     "                i: other\n",
+     "    return {i: sc if c is unit else c * sc for i, c in coords.items()}\n",
+     "    return {i: sc for i, c in coords.items()}\n",
      "let a scalar replace a coordinate that is not the unit"),
     ("walgebra.py",
      "    prod = entry[0] if sc is unit else sc * entry[0]\n",
@@ -397,6 +397,32 @@ MUTANTS = [
      "        return self.__add__(-other)\n",
      "        return self.__add__(other)\n",
      "let p-adic subtraction add"),
+    # the walg-det trial: one determinant pair, each entry one element
+    ("cli.py",
+     "                    dets = (det(lm), det(o))\n",
+     "                    dets = (det(o), det(lm))\n",
+     "swap the shared determinant pair"),
+    ("walgebra.py",
+     "    detl, deto = (det(l_matrix), det(o_matrix)) if dets is None else dets\n",
+     "    detl, deto = (det(o_matrix), det(l_matrix)) if dets is None else dets\n",
+     "swap the determinant pair an identity computes itself"),
+    ("walgebra.py",
+     "        row = [_sum_of_scaled(gen, l_ij, eps_i, o_ij)\n",
+     "        row = [_sum_of_scaled(gen, l_ij, eps_i, -o_ij)\n",
+     "flip the sign of the eps_i term of each matrix entry"),
+    ("walgebra.py",
+     "    return WElement(x.algebra, _signed_sum(mine, theirs, 1))\n",
+     "    return WElement(x.algebra, {**mine, **theirs})\n",
+     "let one-element entries overwrite where gen and eps_i overlap"),
+    # each case takes only its own parameters
+    ("walgebra.py",
+     "            if s is not None or t is not None:\n",
+     "            if False:\n",
+     "let cases 1 and 2 take s and t"),
+    ("walgebra.py",
+     "            if r_an is not None:\n",
+     "            if False:\n",
+     "let case 3 take r_an"),
 ]
 
 
