@@ -459,13 +459,15 @@ SCALAR_MODES = {
 
 
 def case_algebras(r, mode):
-    """The three case algebras cmd_w_algebra checks at r, and each one's
-    row generator: pi, pi - y and y."""
+    """The three case algebras cmd_w_algebra checks at r, each with its
+    row generator (pi, pi - y, y) and that generator's r-th power."""
     L, W, _ = SCALAR_MODES[mode]
     a1 = build_W(1, r, r_an=r, L=L)
     a2 = build_W(2, r, r_an=r, L=L, W=W)
     a3 = build_W(3, r, s=r + 1, t=r, L=L, W=W)
-    return [(a1, a1.pi()), (a2, a2.pi() - a2.y()), (a3, a3.y())]
+    return [(a1, a1.pi(), a1.pi(r)),
+            (a2, a2.pi() - a2.y(), a2.pi(r) - a2.y(r)),
+            (a3, a3.y(), a3.y(r))]
 
 
 @pytest.mark.parametrize("mode", sorted(SCALAR_MODES))
@@ -477,7 +479,7 @@ def test_entry_built_as_one_element(r, mode):
     entry = SCALAR_MODES[mode][2]
     scalars = [Fraction(0), Fraction(1), Fraction(-3, 4),
                *rand_matrix(rng, 2)[0]]
-    for alg, gen in case_algebras(r, mode):
+    for alg, gen, lead in case_algebras(r, mode):
         if r == 1 and alg.case in (1, 2):
             assert set(gen.coords) & set(alg.eps(1).coords)
         for i in range(1, r + 1):
@@ -487,8 +489,6 @@ def test_entry_built_as_one_element(r, mode):
                 got = _sum_of_scaled(gen, l, eps_i, o)
                 assert got.coords == (gen * l + eps_i * o).coords
         # the right side: lead * det(l) + eps_1...eps_r * det(o)
-        lead = alg.pi(r) if alg.case == 1 else (
-            alg.pi(r) - alg.y(r) if alg.case == 2 else alg.y(r))
         l, o = entry(Fraction(7, 2)), entry(Fraction(-5))
         want = lead * l + alg.eps_product() * o
         assert _sum_of_scaled(lead, l, alg.eps_product(), o).coords == \
@@ -510,7 +510,7 @@ def test_det_identity_with_a_handed_pair(r, mode):
     assert det(o) != det(l)
     o, l = [[entry(x) for x in row] for row in o], \
         [[entry(x) for x in row] for row in l]
-    for alg, _ in case_algebras(r, mode):
+    for alg, _, _ in case_algebras(r, mode):
         fn = IDENTITIES[alg.case]
         plain = fn(o, l, alg)
         handed = fn(o, l, alg, dets=(det(l), det(o)))
